@@ -42,7 +42,6 @@ from .graph import (
     laplacians,
     pairwise_distances,
     quantile_proximity,
-    similarity_graph,
 )
 from .kernels import (
     EmbeddingMatrix,
@@ -134,7 +133,6 @@ __all__ = [
     "resolvent_exact",
     "run_qtc",
     "select_s",
-    "similarity_graph",
     "spectral_baseline",
     "spectral_cluster",
     "spectral_embedding",

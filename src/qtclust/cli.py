@@ -19,13 +19,13 @@ from .datasets import (
     gen_tetrahedron,
     radius_proportional_counts,
 )
-from .ensemble import consensus_matrix, majority_partition, run_qtc
+from .ensemble import LABEL_METHODS
 from .errors import InputError, NumericError, ParameterError
 from .graph import PointSet
-from .kernels import jsd_matrix, laplace_similarity, spectral_cluster, transition_kernel
-from .pipeline import build_graph, qtc
+from .kernels import NORMALIZATIONS, jsd_matrix, laplace_similarity, spectral_cluster, transition_kernel
+from .pipeline import SUMMARIES, build_graph, qtc
 from .spectral import eigendecompose, gap_stats
-from .transport import LaplaceParams, laplace_wavefunction, select_s
+from .transport import S_RULES, LaplaceParams, laplace_wavefunction, select_s
 
 SCHEMA = "qtclust/1"
 
@@ -64,46 +64,63 @@ def _load_points(args) -> PointSet:
     return io.load_points_csv(args.input)
 
 
+def _graph_eig(args):
+    """The input points, their similarity graph and its eigensystem."""
+    points = _load_points(args)
+    graph = build_graph(points, args.eps)
+    return points, graph, eigendecompose(graph.hamiltonian)
+
+
 def _laplace_params(args) -> LaplaceParams:
     return LaplaceParams(rule=args.s_rule, multiplier=args.s_mult)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_floats(text: str, option: str, kind=float) -> list:
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ParameterError(f"{option} expects a comma-separated list of {kind.__name__} values, got {text!r}")
+    return values
 
 
-def _parse_counts(text: str):
-    values = [int(v) for v in text.split(",") if v.strip()]
+def _parse_counts(text: str, option: str):
+    values = _parse_floats(text, option, kind=int)
     return values[0] if len(values) == 1 else values
 
 
 def _parse_centers(text: str) -> list[list[float]]:
-    return [_parse_floats(part) for part in text.split(";") if part.strip()]
+    return [_parse_floats(part, "--centers") for part in text.split(";") if part.strip()]
 
 
 def cmd_gen(args) -> None:
     kind = args.kind
+    n_per = _parse_counts(args.n_per, "--n-per")
     if kind == "gaussian-clouds":
         if not args.centers:
             raise ParameterError("--centers is required for gaussian-clouds")
-        points = gen_gaussian_clouds(_parse_centers(args.centers), args.sigma, _parse_counts(args.n_per), args.seed)
+        points = gen_gaussian_clouds(_parse_centers(args.centers), args.sigma, n_per, args.seed)
     elif kind in ("sticks-uniform", "sticks-nonuniform"):
         profile = "uniform" if kind == "sticks-uniform" else "nonuniform"
         points = gen_sticks(
             args.n_sticks,
             length=args.length,
             gap=args.gap,
-            n_per=_parse_counts(args.n_per),
+            n_per=n_per,
             density_profile=profile,
             jitter=args.jitter,
             seed=args.seed,
         )
     elif kind == "annuli":
-        radii = _parse_floats(args.radii)
-        counts = radius_proportional_counts(radii, args.base_count) if args.counts is None else _parse_counts(args.counts)
+        radii = _parse_floats(args.radii, "--radii")
+        if args.counts is None:
+            counts = radius_proportional_counts(radii, args.base_count)
+        else:
+            counts = _parse_counts(args.counts, "--counts")
         points = gen_annuli(radii, args.width, counts, args.seed)
     elif kind == "tetrahedron":
-        points = gen_tetrahedron(q=args.q or 4, sigma=args.sigma, n_per=_parse_counts(args.n_per), seed=args.seed)
+        points = gen_tetrahedron(q=args.q or 4, sigma=args.sigma, n_per=n_per, seed=args.seed)
     else:  # argparse choices already guard this
         raise ParameterError(f"unknown generator kind {kind!r}")
     target = Path(args.out)
@@ -117,10 +134,8 @@ def cmd_gen(args) -> None:
 
 
 def cmd_eigen(args) -> None:
-    points = _load_points(args)
+    _, graph, eig = _graph_eig(args)
     out = _out_dir(args)
-    graph = build_graph(points, args.eps)
-    eig = eigendecompose(graph.hamiltonian)
     q = args.q if args.q else max(2, gap_stats(eig, 2).low_count)
     gaps = gap_stats(eig, min(q, eig.size))
     payload = {
@@ -136,10 +151,8 @@ def cmd_eigen(args) -> None:
 
 
 def cmd_phases(args) -> None:
-    points = _load_points(args)
+    _, graph, eig = _graph_eig(args)
     out = _out_dir(args)
-    graph = build_graph(points, args.eps)
-    eig = eigendecompose(graph.hamiltonian)
     gaps = gap_stats(eig, max(args.q or 2, 2))
     s = select_s(gaps, _laplace_params(args))
     wave = laplace_wavefunction(eig, args.init_node, s)
@@ -207,10 +220,8 @@ def cmd_consensus(args) -> None:
 
 
 def cmd_spectral(args) -> None:
-    points = _load_points(args)
+    points, graph, eig = _graph_eig(args)
     out = _out_dir(args)
-    graph = build_graph(points, args.eps)
-    eig = eigendecompose(graph.hamiltonian)
     labels = spectral_cluster(eig, args.q, seed=args.seed, normalization=args.normalization)
     io.save_labels_csv(out / "labels.csv", labels)
     report = {"q": args.q, "normalization": args.normalization, "seed": args.seed}
@@ -222,10 +233,8 @@ def cmd_spectral(args) -> None:
 
 
 def cmd_kernel(args) -> None:
-    points = _load_points(args)
+    _, graph, eig = _graph_eig(args)
     out = _out_dir(args)
-    graph = build_graph(points, args.eps)
-    eig = eigendecompose(graph.hamiltonian)
     if args.kind == "P":
         matrix = transition_kernel(eig)
     elif args.kind == "S":
@@ -246,7 +255,7 @@ def cmd_experiment(args) -> None:
             seed=args.seed,
             sigma=args.sigma,
             ell_over_sigma=args.ell_sigma,
-            n_per=_parse_counts(args.n_per) if isinstance(args.n_per, str) else args.n_per,
+            n_per=_parse_counts(args.n_per, "--n-per"),
             partition=args.partition,
         )
         payload = {
@@ -280,7 +289,7 @@ def cmd_experiment(args) -> None:
                 )
         derived = {"n_alphas": len(rows)}
     elif args.name == "spectrum-count":
-        n_per = _parse_counts(args.n_per) if isinstance(args.n_per, str) else args.n_per
+        n_per = _parse_counts(args.n_per, "--n-per")
         result = experiments.spectrum_count_experiment(seed=args.seed, sigma=args.sigma, eps=args.eps or 0.1, n_per=n_per)
         _write_json(out / "spectrum_count.json", {"counts": {str(k): v for k, v in result.items()}})
         derived = {"low_counts": {str(k): v["low_count"] for k, v in result.items()}}
@@ -291,7 +300,7 @@ def cmd_experiment(args) -> None:
         rows = experiments.eps_sweep(
             points,
             args.q,
-            _parse_floats(args.eps_grid),
+            _parse_floats(args.eps_grid, "--eps-grid"),
             seed=args.seed,
             laplace=_laplace_params(args),
             m_prime=args.m_prime,
@@ -312,18 +321,19 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qtclust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, eps=True, ensemble=False):
+    def add_common(p, input_required=True):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="qtclust-out", help="output directory")
-        if eps:
-            p.add_argument("--eps", type=float, default=None, help="quantile fraction for the bandwidth")
-        if ensemble:
-            p.add_argument("--q", type=int, required=True, help="number of clusters")
-            p.add_argument("--s-rule", choices=("first_gap", "avg_gap", "explicit"), default="avg_gap")
-            p.add_argument("--s-mult", type=float, default=1.2)
-            p.add_argument("--m-prime", type=int, default=None)
-            p.add_argument("--label-method", choices=("circle", "diff"), default="circle")
-            p.add_argument("--summary", choices=("majority", "consensus", "both"), default="both")
+        p.add_argument("--eps", type=float, default=None, help="quantile fraction for the bandwidth")
+        p.add_argument("--input", required=input_required, default=None)
+
+    def add_s_options(p):
+        p.add_argument("--s-rule", choices=S_RULES, default=LaplaceParams.rule)
+        p.add_argument("--s-mult", type=float, default=LaplaceParams.multiplier)
+
+    def add_label_options(p):
+        p.add_argument("--m-prime", type=int, default=None)
+        p.add_argument("--label-method", choices=LABEL_METHODS, default="circle")
 
     gen = sub.add_parser("gen", help="generate a synthetic point set")
     gen.add_argument("--kind", required=True, choices=("gaussian-clouds", "sticks-uniform", "sticks-nonuniform", "annuli", "tetrahedron"))
@@ -345,50 +355,44 @@ def _parser() -> argparse.ArgumentParser:
 
     eigen = sub.add_parser("eigen", help="spectrum and gap diagnostics")
     add_common(eigen)
-    eigen.add_argument("--input", required=True)
     eigen.add_argument("--q", type=int, default=None)
     eigen.set_defaults(func=cmd_eigen)
-    eigen.set_defaults(s_rule="avg_gap", s_mult=1.2)
 
     phases = sub.add_parser("phases", help="phase field of one initialization")
     add_common(phases)
-    phases.add_argument("--input", required=True)
     phases.add_argument("--init-node", type=int, required=True)
     phases.add_argument("--q", type=int, default=None)
-    phases.add_argument("--s-rule", choices=("first_gap", "avg_gap", "explicit"), default="avg_gap")
-    phases.add_argument("--s-mult", type=float, default=1.2)
+    add_s_options(phases)
     phases.set_defaults(func=cmd_phases)
 
-    cluster = sub.add_parser("cluster", help="full transport clustering run")
-    add_common(cluster, ensemble=True)
-    cluster.add_argument("--input", required=True)
-    cluster.set_defaults(func=cmd_cluster)
-
-    consensus = sub.add_parser("consensus", help="co-clustering frequency matrix")
-    add_common(consensus, ensemble=True)
-    consensus.add_argument("--input", required=True)
-    consensus.set_defaults(func=cmd_consensus)
+    for name, func, help_text in (
+        ("cluster", cmd_cluster, "full transport clustering run"),
+        ("consensus", cmd_consensus, "co-clustering frequency matrix"),
+    ):
+        ensemble = sub.add_parser(name, help=help_text)
+        add_common(ensemble)
+        ensemble.add_argument("--q", type=int, required=True, help="number of clusters")
+        add_s_options(ensemble)
+        add_label_options(ensemble)
+        ensemble.add_argument("--summary", choices=SUMMARIES, default="both")
+        ensemble.set_defaults(func=func)
 
     spectral = sub.add_parser("spectral", help="spectral clustering baseline")
     add_common(spectral)
-    spectral.add_argument("--input", required=True)
     spectral.add_argument("--q", type=int, required=True)
-    spectral.add_argument("--normalization", choices=("none", "approach1", "approach2"), default="approach1")
+    spectral.add_argument("--normalization", choices=NORMALIZATIONS, default="approach1")
     spectral.set_defaults(func=cmd_spectral)
 
     kernel = sub.add_parser("kernel", help="quantum similarity kernel matrices")
     add_common(kernel)
-    kernel.add_argument("--input", required=True)
     kernel.add_argument("--kind", required=True, choices=("P", "S", "jsd"))
     kernel.add_argument("--s", type=float, default=None)
-    kernel.add_argument("--s-rule", choices=("first_gap", "avg_gap", "explicit"), default="avg_gap")
-    kernel.add_argument("--s-mult", type=float, default=1.2)
+    add_s_options(kernel)
     kernel.set_defaults(func=cmd_kernel)
 
     experiment = sub.add_parser("experiment", help="reproducible validation experiments")
     experiment.add_argument("name", choices=("two-cloud", "outlier-sweep", "spectrum-count", "eps-sweep"))
-    add_common(experiment, ensemble=False)
-    experiment.add_argument("--input", default=None)
+    add_common(experiment, input_required=False)
     experiment.add_argument("--sigma", type=float, default=0.1)
     experiment.add_argument("--ell", type=float, default=0.4)
     experiment.add_argument("--ell-sigma", type=float, default=3.0)
@@ -396,10 +400,8 @@ def _parser() -> argparse.ArgumentParser:
     experiment.add_argument("--partition", choices=("truth", "qtc"), default="truth")
     experiment.add_argument("--q", type=int, default=3)
     experiment.add_argument("--eps-grid", default=None, help="comma-separated quantile fractions")
-    experiment.add_argument("--s-rule", choices=("first_gap", "avg_gap", "explicit"), default="avg_gap")
-    experiment.add_argument("--s-mult", type=float, default=1.2)
-    experiment.add_argument("--m-prime", type=int, default=None)
-    experiment.add_argument("--label-method", choices=("circle", "diff"), default="circle")
+    add_s_options(experiment)
+    add_label_options(experiment)
     experiment.set_defaults(func=cmd_experiment)
 
     return parser

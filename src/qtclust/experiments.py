@@ -7,8 +7,9 @@ import numpy as np
 from .datasets import ari, gen_gaussian_clouds, gen_tetrahedron
 from .ensemble import majority_partition, run_qtc
 from .errors import DegenerateGapError, ParameterError
-from .graph import PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
+from .graph import PointSet, pairwise_distances
 from .kernels import spectral_cluster
+from .pipeline import build_graph
 from .spectral import eigendecompose, gap_stats
 from .theory import born_expansion, cluster_orbitals, predicted_phases, resolvent_exact, tight_binding
 from .transport import LaplaceParams, laplace_wavefunction, select_s
@@ -43,9 +44,8 @@ def two_cloud_experiment(
         raise ParameterError(f"partition must be 'truth' or 'qtc', got {partition!r}")
     ell = ell_over_sigma * sigma
     points = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, n_per, seed)
-    dist = pairwise_distances(points)
     bandwidth = sigma if r_eps is None else r_eps
-    graph = laplacians(gaussian_adjacency(dist, bandwidth), proximity=bandwidth)
+    graph = build_graph(points, r_eps=bandwidth)
     eig = eigendecompose(graph.hamiltonian)
     gaps = gap_stats(eig, 2)
     s = select_s(gaps, LaplaceParams(rule="first_gap", multiplier=s_multiplier))
@@ -113,10 +113,7 @@ def outlier_sweep(
     for alpha in np.asarray(alphas, dtype=float):
         coords = np.vstack([clouds.points, [((2.0 * alpha - 1.0) * ell, 0.0)]])
         truth = np.concatenate([clouds.truth, [2]])
-        points = PointSet(points=coords, truth=truth)
-        dist = pairwise_distances(points)
-        r_eps = quantile_proximity(dist, eps)
-        graph = laplacians(gaussian_adjacency(dist, r_eps), proximity=r_eps)
+        graph = build_graph(PointSet(points=coords, truth=truth), eps)
         eig = eigendecompose(graph.hamiltonian)
         s = select_s(gap_stats(eig, 2), LaplaceParams(rule="first_gap", multiplier=s_multiplier))
         wave = laplace_wavefunction(eig, init_node, s)
@@ -127,7 +124,7 @@ def outlier_sweep(
                 "phase_right_mean": float(wave.phases[truth == 1].mean()),
                 "phase_outlier": float(wave.phases[-1]),
                 "s": s,
-                "r_eps": r_eps,
+                "r_eps": graph.proximity,
             }
         )
     return rows
@@ -143,17 +140,14 @@ def spectrum_count_experiment(
     """Low-energy mode counting on well-separated tetrahedron-vertex clusters."""
     out = {}
     for q in cluster_counts:
-        points = gen_tetrahedron(q=q, sigma=sigma, n_per=n_per, seed=seed)
-        dist = pairwise_distances(points)
-        r_eps = quantile_proximity(dist, eps)
-        graph = laplacians(gaussian_adjacency(dist, r_eps), proximity=r_eps)
+        graph = build_graph(gen_tetrahedron(q=q, sigma=sigma, n_per=n_per, seed=seed), eps)
         eig = eigendecompose(graph.hamiltonian)
         gaps = gap_stats(eig, q)
         out[int(q)] = {
             "low_count": gaps.low_count,
             "gap_ratio": gaps.next_ratio,
             "energies": eig.energies[:6].tolist(),
-            "r_eps": r_eps,
+            "r_eps": graph.proximity,
         }
     return out
 
@@ -178,8 +172,7 @@ def eps_sweep(
     dist = pairwise_distances(points)
     rows = []
     for eps in np.asarray(eps_grid, dtype=float):
-        r_eps = quantile_proximity(dist, float(eps))
-        graph = laplacians(gaussian_adjacency(dist, r_eps), proximity=r_eps)
+        graph = build_graph(points, float(eps), dist=dist)
         eig = eigendecompose(graph.hamiltonian)
         try:
             s = select_s(gap_stats(eig, max(q, 2)), laplace)
@@ -193,7 +186,7 @@ def eps_sweep(
         rows.append(
             {
                 "eps": float(eps),
-                "r_eps": r_eps,
+                "r_eps": graph.proximity,
                 "s": s,
                 "ari_qtc": ari_qtc,
                 "ari_spectral": ari(spectral_labels, points.truth),

@@ -1,4 +1,4 @@
-"""Similarity networks: pairwise distances, Gaussian adjacency, Laplacians."""
+"""Similarity-graph stages: distances, quantile bandwidth, Gaussian adjacency, Laplacian."""
 
 from __future__ import annotations
 
@@ -49,28 +49,26 @@ class PointSet:
 
 @dataclass(frozen=True)
 class GraphBundle:
-    """Adjacency, degrees, and both Laplacians of one similarity network.
+    """Degrees and the normalized Laplacian of one similarity network.
 
     ``hamiltonian`` is the symmetric degree-normalized Laplacian
     I - D^{-1/2} A D^{-1/2}; it generates the quantum walk and shares its
-    spectrum with the random-walk normalization.  ``proximity`` records the
-    Gaussian bandwidth used to build ``adjacency`` (NaN when the adjacency
-    came from elsewhere, e.g. a kernel matrix).
+    spectrum with the random-walk normalization, and is the only m x m array
+    kept.  ``proximity`` records the Gaussian bandwidth of the adjacency A
+    (NaN when A came from elsewhere, e.g. a kernel matrix).
     """
 
-    adjacency: np.ndarray
     degrees: np.ndarray
-    laplacian: np.ndarray
     hamiltonian: np.ndarray
     proximity: float = math.nan
 
     def __post_init__(self):
-        for name in ("adjacency", "degrees", "laplacian", "hamiltonian"):
+        for name in ("degrees", "hamiltonian"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def m(self) -> int:
-        return self.adjacency.shape[0]
+        return self.hamiltonian.shape[0]
 
 
 def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
@@ -113,10 +111,11 @@ def gaussian_adjacency(dist: np.ndarray, r_eps: float) -> np.ndarray:
 
 
 def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundle:
-    """Degrees, plain Laplacian D - A, and the symmetric normalized Laplacian.
+    """Degrees and the symmetric normalized Laplacian H of an adjacency matrix.
 
-    The normalized form annihilates the sqrt-degree vector, so a connected
-    graph always has a zero mode proportional to sqrt(deg).
+    H annihilates the sqrt-degree vector, so a connected graph always has a
+    zero mode proportional to sqrt(deg).  The plain Laplacian D - A is not
+    formed; callers that need it build it from ``degrees`` and A.
     """
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -131,21 +130,7 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
     if (degrees <= 0.0).any():
         bad = int(np.nonzero(degrees <= 0.0)[0][0])
         raise IsolatedNodeError(f"node {bad} has zero degree and cannot be normalized")
-    laplacian = np.diag(degrees) - a
     inv_sqrt = 1.0 / np.sqrt(degrees)
     hamiltonian = np.eye(a.shape[0]) - a * inv_sqrt[:, None] * inv_sqrt[None, :]
     hamiltonian = (hamiltonian + hamiltonian.T) / 2.0
-    return GraphBundle(
-        adjacency=a,
-        degrees=degrees,
-        laplacian=laplacian,
-        hamiltonian=hamiltonian,
-        proximity=float(proximity),
-    )
-
-
-def similarity_graph(points: PointSet, eps: float) -> GraphBundle:
-    """Distances -> quantile bandwidth -> Gaussian adjacency -> Laplacians."""
-    dist = pairwise_distances(points)
-    r_eps = quantile_proximity(dist, eps)
-    return laplacians(gaussian_adjacency(dist, r_eps), proximity=r_eps)
+    return GraphBundle(degrees=degrees, hamiltonian=hamiltonian, proximity=float(proximity))

@@ -53,10 +53,13 @@ def load_points_csv(path) -> PointSet:
             if not row:
                 continue
             if len(row) != len(header):
-                raise InputError(f"malformed points row: {row!r}")
-            coords.append([float(v) for v in row[: len(coord_cols)]])
-            if has_label:
-                labels.append(int(row[-1]))
+                raise InputError(f"{path}, line {reader.line_num}: malformed points row {row!r}")
+            try:
+                coords.append([float(v) for v in row[: len(coord_cols)]])
+                if has_label:
+                    labels.append(int(row[-1]))
+            except ValueError:
+                raise InputError(f"{path}, line {reader.line_num}: non-numeric cell in {row!r}") from None
     if not coords:
         raise InputError(f"{path} has no data rows")
     truth = np.asarray(labels, dtype=int) if has_label else None
@@ -98,6 +101,7 @@ def save_labels_csv(path, labels) -> None:
 
 
 def load_labels_csv(path) -> np.ndarray:
+    """Labels by node; the node_index column must hold 0..m-1, each once, in any order."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
@@ -106,8 +110,17 @@ def load_labels_csv(path) -> np.ndarray:
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["node_index", "label"]:
             raise InputError("labels CSV must start with header node_index,label")
-        labels = {int(row[0]): int(row[1]) for row in reader if row}
-    out = np.empty(len(labels), dtype=int)
-    for idx, value in labels.items():
-        out[idx] = value
-    return out
+        labels = {}
+        for row in reader:
+            if not row:
+                continue
+            try:
+                idx, value = (int(v) for v in row)
+            except ValueError:
+                raise InputError(f"{path}, line {reader.line_num}: expected two integer cells, got {row!r}") from None
+            if idx in labels:
+                raise InputError(f"{path}, line {reader.line_num}: duplicate node_index {idx}")
+            labels[idx] = value
+    if sorted(labels) != list(range(len(labels))):
+        raise InputError(f"{path}: node_index values must be 0..{len(labels) - 1}, each once")
+    return np.array([labels[i] for i in range(len(labels))], dtype=int)

@@ -30,12 +30,19 @@ class QTCResult:
     s: float
 
 
-def build_graph(points: PointSet, eps: float | None, r_eps: float | None = None) -> GraphBundle:
-    """Similarity graph from either a quantile fraction or an explicit bandwidth."""
-    dist = pairwise_distances(points)
+def build_graph(
+    points: PointSet, eps: float | None = None, r_eps: float | None = None, dist: np.ndarray | None = None
+) -> GraphBundle:
+    """Similarity graph: distances, bandwidth, Gaussian adjacency, normalized Laplacian.
+
+    The bandwidth is ``r_eps``, else the ``eps``-quantile of the distances.
+    ``dist``, the distance matrix of ``points``, is reused when given.
+    """
+    if r_eps is None and eps is None:
+        raise ParameterError("either eps or r_eps is required")
+    if dist is None:
+        dist = pairwise_distances(points)
     if r_eps is None:
-        if eps is None:
-            raise ParameterError("either eps or r_eps is required")
         r_eps = quantile_proximity(dist, eps)
     return laplacians(gaussian_adjacency(dist, r_eps), proximity=r_eps)
 

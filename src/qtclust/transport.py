@@ -14,7 +14,7 @@ from .spectral import EigenSystem, GapReport
 
 UNDERFLOW_FLOOR = 1e-300
 
-_S_RULES = ("first_gap", "avg_gap", "explicit")
+S_RULES = ("first_gap", "avg_gap", "explicit")
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class LaplaceParams:
     multiplier: float = 1.2
 
     def __post_init__(self):
-        if self.rule not in _S_RULES:
-            raise ParameterError(f"rule must be one of {_S_RULES}, got {self.rule!r}")
+        if self.rule not in S_RULES:
+            raise ParameterError(f"rule must be one of {S_RULES}, got {self.rule!r}")
         if not (np.isfinite(self.multiplier) and self.multiplier > 0.0):
             raise ParameterError("multiplier must be a positive finite number")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtclust import PointSet, eigendecompose, similarity_graph
+from qtclust import PointSet, eigendecompose, build_graph
 
 
 def random_geometric_graph(seed, m, d=2, eps=None):
@@ -10,7 +10,7 @@ def random_geometric_graph(seed, m, d=2, eps=None):
     points = PointSet(rng.normal(size=(m, d)))
     if eps is None:
         eps = float(rng.uniform(0.15, 0.5))
-    graph = similarity_graph(points, eps)
+    graph = build_graph(points, eps)
     return graph, eigendecompose(graph.hamiltonian)
 
 

@@ -6,7 +6,7 @@ import pytest
 from qtclust.cli import main
 from qtclust.io import load_labels_csv, load_matrix_csv
 
-from qtclust import gen_gaussian_clouds
+from qtclust import InputError, gen_gaussian_clouds
 from qtclust.io import save_points_csv
 
 
@@ -165,3 +165,88 @@ def test_experiment_eps_sweep(tmp_path, clouds_csv):
     lines = (out / "eps_sweep.csv").read_text().splitlines()
     assert lines[0] == "eps,ari_qtc,ari_spectral"
     assert len(lines) == 3
+
+
+def test_non_numeric_points_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,x1\n0,0\n1,abc\n")
+    code = main(["cluster", "--input", str(path), "--eps", "0.5", "--q", "2", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{path}, line 3" in capsys.readouterr().err
+
+
+def test_non_integer_label_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,x1,label\n0,0,0\n1,1,one\n")
+    code = main(["cluster", "--input", str(path), "--eps", "0.5", "--q", "2", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{path}, line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0,1", "2,0"],  # gap in the indices
+        ["0,1", "0,0", "1,1"],  # duplicate index
+        ["-1,1", "0,0"],  # negative index
+        ["0,1", "1,x"],  # non-integer cell
+    ],
+)
+def test_load_labels_csv_rejects_bad_indices(tmp_path, rows):
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join(["node_index,label", *rows]) + "\n")
+    with pytest.raises(InputError):
+        load_labels_csv(path)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gen", "--kind", "tetrahedron", "--n-per", "ab"], "--n-per"),
+        (["gen", "--kind", "annuli", "--radii", "0.4,0.8", "--counts", "10,x"], "--counts"),
+        (["gen", "--kind", "gaussian-clouds", "--centers", "0,x"], "--centers"),
+        (["gen", "--kind", "annuli", "--radii", "0.4,r"], "--radii"),
+        (["experiment", "spectrum-count", "--n-per", "1.5"], "--n-per"),
+        (["experiment", "eps-sweep", "--eps-grid", "0.1,zz"], "--eps-grid"),
+    ],
+)
+def test_bad_list_option_exits_2(tmp_path, clouds_csv, capsys, argv, option):
+    if argv[0] == "experiment":
+        argv = argv + ["--input", str(clouds_csv)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert option in capsys.readouterr().err
+
+
+_COMMON_KEYS = {"command", "eps", "input", "out", "seed"}
+_ENSEMBLE_KEYS = _COMMON_KEYS | {"q", "s_rule", "s_mult", "m_prime", "label_method", "summary"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["eigen"], _COMMON_KEYS | {"q"}),
+        (["phases", "--init-node", "0"], _COMMON_KEYS | {"init_node", "q", "s_rule", "s_mult"}),
+        (["cluster", "--q", "3", "--m-prime", "10"], _ENSEMBLE_KEYS),
+        (["consensus", "--q", "3", "--m-prime", "10"], _ENSEMBLE_KEYS),
+        (["spectral", "--q", "3"], _COMMON_KEYS | {"q", "normalization"}),
+        (["kernel", "--kind", "P"], _COMMON_KEYS | {"kind", "s", "s_rule", "s_mult"}),
+        (
+            ["experiment", "spectrum-count", "--n-per", "10"],
+            _COMMON_KEYS
+            | {"name", "sigma", "ell", "ell_sigma", "n_per", "partition", "q", "eps_grid"}
+            | {"s_rule", "s_mult", "m_prime", "label_method"},
+        ),
+    ],
+)
+def test_run_json_config_keys(tmp_path, clouds_csv, argv, keys):
+    out = tmp_path / "o"
+    assert main(argv + ["--input", str(clouds_csv), "--eps", "0.1", "--out", str(out)]) == 0
+    assert set(json.loads((out / "run.json").read_text())["config"]) == keys
+
+
+@pytest.mark.parametrize("argv", [["phases", "--init-node", "0"], ["cluster", "--q", "3", "--m-prime", "10"]])
+def test_explicit_s_reaches_run_json(tmp_path, clouds_csv, argv):
+    out = tmp_path / "o"
+    flags = ["--input", str(clouds_csv), "--eps", "0.1", "--s-rule", "explicit", "--s-mult", "0.3", "--out", str(out)]
+    assert main(argv + flags) == 0
+    assert json.loads((out / "run.json").read_text())["derived"]["s"] == 0.3

@@ -13,7 +13,7 @@ from qtclust import (
     majority_partition,
     partitions_equivalent,
     run_qtc,
-    similarity_graph,
+    build_graph,
 )
 
 
@@ -149,7 +149,7 @@ def test_majority_matches_pairwise_grouping_oracle():
 
 def test_run_qtc_uses_every_node_when_m_prime_is_m():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0)], 0.1, 12, seed=0)
-    graph = similarity_graph(pts, 0.2)
+    graph = build_graph(pts, 0.2)
     eig = eigendecompose(graph.hamiltonian)
     omega = run_qtc(eig, 0.01, 2, m_prime=24, seed=5)
     assert sorted(omega.init_nodes.tolist()) == list(range(24))
@@ -157,7 +157,7 @@ def test_run_qtc_uses_every_node_when_m_prime_is_m():
 
 def test_run_qtc_deterministic():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0)], 0.1, 15, seed=1)
-    graph = similarity_graph(pts, 0.2)
+    graph = build_graph(pts, 0.2)
     eig = eigendecompose(graph.hamiltonian)
     a = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
     b = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
@@ -167,7 +167,7 @@ def test_run_qtc_deterministic():
 
 def test_run_qtc_rejects_oversized_m_prime():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0)], 0.1, 5, seed=2)
-    graph = similarity_graph(pts, 0.3)
+    graph = build_graph(pts, 0.3)
     eig = eigendecompose(graph.hamiltonian)
     with pytest.raises(ParameterError):
         run_qtc(eig, 0.01, 2, m_prime=11, seed=0)
@@ -175,7 +175,7 @@ def test_run_qtc_rejects_oversized_m_prime():
 
 def test_run_qtc_three_clouds_mostly_truth():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0), (0.3, 0.52)], 0.1, 60, seed=1)
-    graph = similarity_graph(pts, 0.1)
+    graph = build_graph(pts, 0.1)
     eig = eigendecompose(graph.hamiltonian)
     from qtclust import LaplaceParams, gap_stats, select_s
 

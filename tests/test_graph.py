@@ -12,7 +12,6 @@ from qtclust import (
     laplacians,
     pairwise_distances,
     quantile_proximity,
-    similarity_graph,
 )
 
 
@@ -125,15 +124,20 @@ def test_laplacians_two_node_hand_values():
 
 def test_laplacian_row_sums_and_ground_identity():
     rng = np.random.default_rng(4)
-    g = similarity_graph(PointSet(rng.normal(size=(25, 2))), 0.3)
-    assert np.abs(g.laplacian @ np.ones(25)).max() < 1e-12
+    dist = pairwise_distances(PointSet(rng.normal(size=(25, 2))))
+    a = gaussian_adjacency(dist, quantile_proximity(dist, 0.3))
+    g = laplacians(a)
+    laplacian = np.diag(g.degrees) - a
+    assert np.abs(laplacian @ np.ones(25)).max() < 1e-12
     assert np.abs(g.hamiltonian @ np.sqrt(g.degrees)).max() < 1e-10
 
 
 def test_graph_symmetry_invariants():
     rng = np.random.default_rng(5)
-    g = similarity_graph(PointSet(rng.normal(size=(40, 3))), 0.25)
-    assert np.abs(g.adjacency - g.adjacency.T).max() == 0.0
+    dist = pairwise_distances(PointSet(rng.normal(size=(40, 3))))
+    a = gaussian_adjacency(dist, quantile_proximity(dist, 0.25))
+    g = laplacians(a)
+    assert np.abs(a - a.T).max() == 0.0
     assert np.abs(g.hamiltonian - g.hamiltonian.T).max() <= 1e-12
 
 

@@ -14,7 +14,7 @@ from qtclust import (
     laplace_similarity,
     spectral_cluster,
     spectral_embedding,
-    similarity_graph,
+    build_graph,
     transition_kernel,
     two_cluster_outlier_distances,
 )
@@ -241,7 +241,7 @@ def test_sqrt_jsd_triangle_inequality():
 
 def test_spectral_cluster_three_disconnected_sticks():
     pts = gen_sticks(3, length=1.0, gap=50.0, n_per=30, density_profile="uniform", jitter=0.005, seed=0)
-    graph = similarity_graph(pts, 0.05)
+    graph = build_graph(pts, 0.05)
     eig = eigendecompose(graph.hamiltonian)
     labels = spectral_cluster(eig, 3, seed=0)
     assert ari(labels, pts.truth) == 1.0
@@ -259,7 +259,7 @@ def test_kernels_reusable_as_adjacency():
     from qtclust.graph import laplacians
 
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0), (0.3, 0.52)], 0.1, 40, seed=0)
-    graph = similarity_graph(pts, 0.1)
+    graph = build_graph(pts, 0.1)
     eig = eigendecompose(graph.hamiltonian)
     p_graph = laplacians(transition_kernel(eig))
     labels = spectral_cluster(eigendecompose(p_graph.hamiltonian), 3, seed=0)

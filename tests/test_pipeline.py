@@ -5,8 +5,11 @@ from qtclust import (
     LaplaceParams,
     ParameterError,
     ari,
+    build_graph,
     gen_gaussian_clouds,
+    pairwise_distances,
     qtc,
+    quantile_proximity,
     spectral_baseline,
 )
 
@@ -69,3 +72,26 @@ def test_explicit_bandwidth_override(three_clouds):
 def test_eps_or_r_eps_required(three_clouds):
     with pytest.raises(ParameterError):
         qtc(three_clouds, eps=None, q=3, seed=0)
+
+
+def assert_same_bundle(a, b):
+    assert np.array_equal(a.degrees, b.degrees)
+    assert np.array_equal(a.hamiltonian, b.hamiltonian)
+    assert a.proximity == b.proximity
+
+
+def test_build_graph_reuses_given_distances(three_clouds):
+    dist = pairwise_distances(three_clouds)
+    assert_same_bundle(build_graph(three_clouds, 0.1, dist=dist), build_graph(three_clouds, 0.1))
+
+
+def test_build_graph_explicit_bandwidth_equals_quantile(three_clouds):
+    r_eps = quantile_proximity(pairwise_distances(three_clouds), 0.1)
+    assert_same_bundle(build_graph(three_clouds, r_eps=r_eps), build_graph(three_clouds, 0.1))
+
+
+def test_build_graph_needs_eps_or_r_eps(three_clouds):
+    with pytest.raises(ParameterError):
+        build_graph(three_clouds)
+    with pytest.raises(ParameterError):
+        build_graph(three_clouds, dist=pairwise_distances(three_clouds))

@@ -11,7 +11,7 @@ from qtclust import (
     gap_stats,
     gen_gaussian_clouds,
     gen_tetrahedron,
-    similarity_graph,
+    build_graph,
 )
 from qtclust.graph import gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
 
@@ -123,14 +123,14 @@ def test_count_low_energy_explicit_spectrum():
 
 def test_count_low_energy_single_cloud():
     pts = gen_gaussian_clouds([(0.0, 0.0)], 0.1, 80, seed=7)
-    graph = similarity_graph(pts, 0.1)
+    graph = build_graph(pts, 0.1)
     eig = eigendecompose(graph.hamiltonian)
     assert count_low_energy(eig) == 1
 
 
 def test_count_low_energy_tetrahedron_three_clusters():
     pts = gen_tetrahedron(q=3, sigma=0.1, n_per=60, seed=0)
-    graph = similarity_graph(pts, 0.1)
+    graph = build_graph(pts, 0.1)
     eig = eigendecompose(graph.hamiltonian)
     rep = gap_stats(eig, 3)
     assert rep.low_count == 3
