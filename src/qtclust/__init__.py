@@ -73,7 +73,14 @@ from .theory import (
     tight_binding,
     two_level_phases,
 )
-from .transport import LaplaceParams, WavePhaseField, laplace_wavefunction, phase_field, select_s
+from .transport import (
+    LaplaceParams,
+    WavePhaseField,
+    laplace_amplitudes,
+    laplace_wavefunction,
+    phase_field,
+    select_s,
+)
 
 __version__ = "0.1.0"
 
@@ -111,6 +118,7 @@ __all__ = [
     "LabelMatrix",
     "labels_circle_clustering",
     "labels_direct_difference",
+    "laplace_amplitudes",
     "laplace_similarity",
     "laplace_wavefunction",
     "LaplaceParams",

@@ -11,12 +11,17 @@ from .errors import ConsistencyError, ParameterError
 from .graph import _readonly
 from .labeling import labels_circle_clustering, labels_direct_difference
 from .spectral import EigenSystem
-from .transport import laplace_wavefunction
+from .transport import laplace_amplitudes, phase_field
 
 # sqrt of two primes: irrational, linearly independent over the rationals, so
 # integer label pairs map to distinct fingerprints
 _SQRT_P = (math.sqrt(2.0), math.sqrt(3.0))
 _XI_TOL = 1e-6
+# scratch budget of one column block in run_qtc, majority_partition and
+# consensus_matrix; the block width follows from m, so the scratch stays small
+_BLOCK_BYTES = 4 << 20
+# label spans below this are relabeled through a first-appearance table
+_TABLE_SPAN = 64
 
 LABEL_METHODS = ("circle", "diff")
 
@@ -58,9 +63,46 @@ class PartitionTally:
 def canonical_relabel(labels: np.ndarray) -> np.ndarray:
     """Rename labels to 0,1,... in order of first appearance."""
     lab = np.asarray(labels, dtype=int)
-    _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))
-    return rank[inverse]
+    return _canonical_rows(lab.reshape(1, -1))[0]
+
+
+def _canonical_rows(block: np.ndarray) -> np.ndarray:
+    """``canonical_relabel`` of every row of a 2-D integer array.
+
+    When the labels span fewer than ``_TABLE_SPAN`` values, which covers every
+    labeler's output, one comparison against each value finds its first row
+    position, and ranking those positions gives the new names.  Wider label
+    sets fall back to a sort per row.
+    """
+    if block.size == 0:
+        return np.zeros(block.shape, dtype=np.intp)
+    low, high = int(block.min()), int(block.max())
+    if high - low < _TABLE_SPAN:
+        hit = block[:, None, :] == np.arange(low, high + 1)[:, None]
+        # absent values sit at position n, after every present one
+        first = np.where(hit.any(axis=2), hit.argmax(axis=2), block.shape[1])
+        rank = np.argsort(np.argsort(first, axis=1), axis=1)
+        return rank[np.arange(block.shape[0])[:, None], block - low]
+    out = np.empty(block.shape, dtype=np.intp)
+    for row, lab in zip(out, block):
+        _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
+        row[:] = np.argsort(np.argsort(first))[inverse]
+    return out
+
+
+def _block_width(m: int) -> int:
+    """Columns per block so that ~64 bytes per entry fit in ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (64 * max(m, 1)))
+
+
+def _canonical_blocks(cols: np.ndarray):
+    """Yield ``(lo, canon)`` over column blocks of an m x n integer matrix.
+
+    Row j of ``canon`` is ``canonical_relabel(cols[:, lo + j])``.
+    """
+    width = _block_width(cols.shape[0])
+    for lo in range(0, cols.shape[1], width):
+        yield lo, _canonical_rows(np.ascontiguousarray(cols[:, lo : lo + width].T))
 
 
 def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
@@ -76,12 +118,15 @@ def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
     b = np.asarray(col_b, dtype=int)
     if a.ndim != 1 or a.shape != b.shape:
         raise ParameterError("label vectors must be one-dimensional and equally long")
-    if q < 1 or min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= q:
+    pair = np.stack([a, b])
+    if q < 1 or pair.min() < 0 or pair.max() >= q:
         raise ParameterError(f"labels must lie in [0, {q})")
-    exact = bool(np.array_equal(canonical_relabel(a), canonical_relabel(b)))
+    canon = _canonical_rows(pair)
+    exact = bool(np.array_equal(canon[0], canon[1]))
     xi = np.sort(a * _SQRT_P[0] + b * _SQRT_P[1])
     distinct = 1 + int(np.count_nonzero(np.diff(xi) > _XI_TOL))
-    fingerprint = distinct == np.unique(a).size == np.unique(b).size
+    # a canonical relabeling's largest label is one less than the label count
+    fingerprint = distinct == canon[0].max() + 1 == canon[1].max() + 1
     if fingerprint != exact:
         raise ConsistencyError(
             "sqrt-prime fingerprint disagrees with canonical relabeling; "
@@ -102,7 +147,10 @@ def run_qtc(
 
     Start nodes are drawn uniformly without replacement.  Column k holds the
     labels derived from the phase field of the wave function started at
-    ``init_nodes[k]``.  Fully deterministic for a fixed seed.
+    ``init_nodes[k]``.  The wave functions are computed a block of start
+    nodes at a time by :func:`laplace_amplitudes`, one GEMM per block, and
+    each column is then labeled on its own.  Fully deterministic for a fixed
+    seed.
     """
     m = eig.size
     if m_prime is None:
@@ -117,36 +165,48 @@ def run_qtc(
     init_nodes = rng.choice(m, size=m_prime, replace=False)
     col_seeds = rng.integers(0, 2**63 - 1, size=m_prime)
     omega = np.empty((m, m_prime), dtype=int)
-    for k in range(m_prime):
-        wave = laplace_wavefunction(eig, int(init_nodes[k]), s)
-        if method == "circle":
-            omega[:, k] = labels_circle_clustering(wave.phases, q, int(col_seeds[k]))
-        else:
-            omega[:, k] = labels_direct_difference(wave.phases, q)
+    width = _block_width(m)
+    for lo in range(0, m_prime, width):
+        amplitudes = laplace_amplitudes(eig, init_nodes[lo : lo + width], s)
+        for j in range(amplitudes.shape[1]):
+            k = lo + j
+            phases = phase_field(amplitudes[:, j])
+            if method == "circle":
+                omega[:, k] = labels_circle_clustering(phases, q, int(col_seeds[k]))
+            else:
+                omega[:, k] = labels_direct_difference(phases, q)
     return LabelMatrix(omega=omega, init_nodes=init_nodes)
 
 
 def majority_partition(omega: LabelMatrix, q: int):
     """Group equivalent columns and return the heaviest partition plus tally.
 
-    Returns the canonical relabeling of a column from the heaviest class and
-    a PartitionTally keyed by each class's first (lowest) column index.
-    Weight ties go to the class with the lowest representative index.
+    Columns are grouped by the bytes of their canonical relabeling, and each
+    column that joins an existing class is confirmed once against the class
+    representative with :func:`partitions_equivalent`, which keeps its
+    fingerprint cross-check live.  Returns the canonical relabeling of a
+    column from the heaviest class and a PartitionTally keyed by each class's
+    first (lowest) column index.  Weight ties go to the class with the lowest
+    representative index.
     """
     cols = omega.omega
     m_prime = omega.n_init
-    reps: list[int] = []
+    if q < 1 or cols.min() < 0 or cols.max() >= q:
+        raise ParameterError(f"labels must lie in [0, {q})")
+    rep_of: dict[bytes, int] = {}
     members: dict[int, list[int]] = {}
-    for k in range(m_prime):
-        for rep in reps:
-            if partitions_equivalent(cols[:, rep], cols[:, k], q):
+    for lo, canon in _canonical_blocks(cols):
+        for j, row in enumerate(canon):
+            k = lo + j
+            rep = rep_of.setdefault(row.tobytes(), k)
+            if rep == k:
+                members[k] = [k]
+            elif partitions_equivalent(cols[:, rep], cols[:, k], q):
                 members[rep].append(k)
-                break
-        else:
-            reps.append(k)
-            members[k] = [k]
+            else:
+                raise ConsistencyError("canonical relabelings agree but the columns are not equivalent")
     weights = {rep: len(group) / m_prime for rep, group in members.items()}
-    winner = max(reps, key=lambda rep: (weights[rep], -rep))
+    winner = max(members, key=lambda rep: (weights[rep], -rep))
     tally = PartitionTally(
         classes={rep: tuple(group) for rep, group in members.items()},
         weights=weights,
@@ -155,11 +215,30 @@ def majority_partition(omega: LabelMatrix, q: int):
 
 
 def consensus_matrix(omega: LabelMatrix) -> np.ndarray:
-    """Fraction of initializations assigning each node pair the same label."""
+    """Fraction of initializations assigning each node pair the same label.
+
+    With Y the one-hot encoding of the canonically relabeled columns, the
+    pair counts are Y Y^T, summed over blocks of Y and row tiles of the
+    product, each bounded by ``_BLOCK_BYTES``.  The counts are exact
+    integers, so the result equals the per-pair count divided by m' bit for
+    bit, for any integer labels.
+    """
     cols = omega.omega
     m, m_prime = cols.shape
-    counts = np.zeros((m, m), dtype=np.int64)
-    for k in range(m_prime):
-        col = cols[:, k]
-        counts += col[:, None] == col[None, :]
-    return counts / float(m_prime)
+    step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))  # labels per Y block, rows per product tile
+    rows = np.arange(m)[:, None]
+    counts = np.zeros((m, m))
+    for _, canon in _canonical_blocks(cols):
+        n_labels = canon.max(axis=1) + 1
+        lo = 0
+        while lo < len(canon):
+            # widest run of columns whose one-hot block fits (at least one column)
+            hi = lo + max(1, int(np.searchsorted(np.cumsum(n_labels[lo:]), step, side="right")))
+            starts = np.cumsum(n_labels[lo:hi]) - n_labels[lo:hi]
+            y = np.zeros((m, int(n_labels[lo:hi].sum())))
+            y[rows, (canon[lo:hi] + starts[:, None]).T] = 1.0
+            for r in range(0, m, step):
+                counts[r : r + step] += y[r : r + step] @ y.T
+            lo = hi
+    counts /= m_prime
+    return counts

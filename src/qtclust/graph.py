@@ -106,8 +106,10 @@ def gaussian_adjacency(dist: np.ndarray, r_eps: float) -> np.ndarray:
     """A_ij = exp(-(r_ij / r_eps)^2); unit diagonal, entries in (0, 1]."""
     if not (np.isfinite(r_eps) and r_eps > 0.0):
         raise ParameterError(f"proximity scale must be a positive finite number, got {r_eps!r}")
-    d = np.asarray(dist, dtype=float)
-    return np.exp(-np.square(d / r_eps))
+    a = np.asarray(dist, dtype=float) / r_eps
+    np.square(a, out=a)
+    np.negative(a, out=a)
+    return np.exp(a, out=a)
 
 
 def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundle:
@@ -122,8 +124,11 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
         raise InputError("adjacency must be square")
     if not np.isfinite(a).all():
         raise InputError("adjacency contains non-finite entries")
-    if np.abs(a - a.T).max() > SYMMETRY_TOL:
-        raise InputError("adjacency must be symmetric")
+    m = a.shape[0]
+    step = _tile_rows(m)
+    for lo in range(0, m, step):
+        if np.abs(a[lo : lo + step] - a[:, lo : lo + step].T).max() > SYMMETRY_TOL:
+            raise InputError("adjacency must be symmetric")
     if a.min() < 0.0:
         raise InputError("adjacency entries must be nonnegative")
     degrees = a.sum(axis=1)
@@ -131,6 +136,27 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
         bad = int(np.nonzero(degrees <= 0.0)[0][0])
         raise IsolatedNodeError(f"node {bad} has zero degree and cannot be normalized")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    hamiltonian = np.eye(a.shape[0]) - a * inv_sqrt[:, None] * inv_sqrt[None, :]
-    hamiltonian = (hamiltonian + hamiltonian.T) / 2.0
+    # H = I - D^-1/2 A D^-1/2 in one m x m array; 0 - x keeps +0.0 where x is 0
+    hamiltonian = a * inv_sqrt[:, None]
+    hamiltonian *= inv_sqrt[None, :]
+    np.subtract(0.0, hamiltonian, out=hamiltonian)
+    hamiltonian.flat[:: m + 1] += 1.0
+    _symmetrize(hamiltonian)
     return GraphBundle(degrees=degrees, hamiltonian=hamiltonian, proximity=float(proximity))
+
+
+def _tile_rows(m: int) -> int:
+    """Rows per tile so that a tile of an m x m float matrix stays near 1 MiB."""
+    return max(1, (1 << 20) // (8 * max(m, 1)))
+
+
+def _symmetrize(h: np.ndarray) -> None:
+    """Replace h by (h + h^T) / 2 in place, one pair of square tiles at a time."""
+    m = h.shape[0]
+    step = max(1, math.isqrt(_tile_rows(m) * m))
+    for lo in range(0, m, step):
+        for lo2 in range(lo, m, step):
+            rows, cols = slice(lo, lo + step), slice(lo2, lo2 + step)
+            mean = (h[rows, cols] + h[cols, rows].T) / 2.0
+            h[rows, cols] = mean
+            h[cols, rows] = mean.T

@@ -44,7 +44,9 @@ def build_graph(
         dist = pairwise_distances(points)
     if r_eps is None:
         r_eps = quantile_proximity(dist, eps)
-    return laplacians(gaussian_adjacency(dist, r_eps), proximity=r_eps)
+    adjacency = gaussian_adjacency(dist, r_eps)
+    del dist  # a distance matrix computed here is freed before H is built
+    return laplacians(adjacency, proximity=r_eps)
 
 
 def qtc(

@@ -65,30 +65,45 @@ def laplace_wavefunction(eig: EigenSystem, init_node: int, s: float) -> WavePhas
     """Transform of the evolution started at ``init_node``, damped at rate s.
 
     Evaluates the spectral sum over all modes with weights 1/(s + i E_n),
-    which equals the solution of (s I + i H) psi = e_j.  Reusing one
-    decomposition makes each initialization an O(m^2) matrix-vector product.
+    which equals the solution of (s I + i H) psi = e_j.  This is the
+    one-column case of :func:`laplace_amplitudes`.
     """
-    m = eig.size
-    if not 0 <= init_node < m:
-        raise ParameterError(f"init_node must be in [0, {m}), got {init_node}")
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
-    weights = eig.modes[init_node, :] / (s + 1j * eig.energies)
-    amplitudes = eig.modes @ weights
-    tiny = np.abs(amplitudes) < UNDERFLOW_FLOOR
-    if tiny.any():
-        # cancellation hit the subnormal range: redo those dot products with
-        # exact accumulation so the recovered phase is meaningful
-        amplitudes = amplitudes.copy()
-        for i in np.nonzero(tiny)[0]:
-            re = math.fsum((eig.modes[i, :] * weights.real).tolist())
-            im = math.fsum((eig.modes[i, :] * weights.imag).tolist())
-            amplitudes[i] = complex(re, im)
+    amplitudes = laplace_amplitudes(eig, [init_node], s)[:, 0]
     return WavePhaseField(
         init_node=int(init_node),
         amplitudes=amplitudes,
         phases=phase_field(amplitudes),
     )
+
+
+def laplace_amplitudes(eig: EigenSystem, init_nodes, s: float) -> np.ndarray:
+    """Laplace-space amplitudes for several start nodes, one column per node.
+
+    Column k solves (s I + i H) psi = e_{init_nodes[k]} through the spectral
+    sum.  The complex weights W = modes[init] / (s + i E) are laid out as
+    interleaved real and imaginary columns, so one real GEMM of ``modes``
+    against them yields the m x len(init_nodes) complex result in place,
+    without casting the real ``modes`` to complex.
+    """
+    m = eig.size
+    init = np.asarray(init_nodes)
+    if init.ndim != 1 or init.dtype.kind not in "iu":
+        raise ParameterError("init_nodes must be a one-dimensional integer array")
+    if init.size and not (0 <= init.min() and init.max() < m):
+        raise ParameterError(f"init nodes must be in [0, {m}), got {init.min()} to {init.max()}")
+    if not (np.isfinite(s) and s > 0.0):
+        raise ParameterError("s must be a positive finite number")
+    weights = eig.modes[init, :] / (s + 1j * eig.energies)
+    amplitudes = (eig.modes @ np.ascontiguousarray(weights.T).view(float)).view(complex)
+    tiny = np.abs(amplitudes) < UNDERFLOW_FLOOR
+    if tiny.any():
+        # cancellation hit the subnormal range: redo those dot products with
+        # exact accumulation so the recovered phase is meaningful
+        for i, k in zip(*np.nonzero(tiny)):
+            re = math.fsum((eig.modes[i, :] * weights[k].real).tolist())
+            im = math.fsum((eig.modes[i, :] * weights[k].imag).tolist())
+            amplitudes[i, k] = complex(re, im)
+    return amplitudes
 
 
 def phase_field(amplitudes: np.ndarray) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from qtclust.cli import main
 from qtclust.io import load_labels_csv, load_matrix_csv
 
+import qtclust
 from qtclust import InputError, gen_gaussian_clouds
 from qtclust.io import save_points_csv
 
@@ -59,6 +64,16 @@ def test_cluster_reruns_byte_identical(tmp_path, clouds_csv):
 def test_missing_input_exits_2(tmp_path):
     code = main(["cluster", "--input", str(tmp_path / "nope.csv"), "--eps", "0.1", "--q", "2", "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("module", ["qtclust", "qtclust.cli"])
+def test_python_m_missing_input_exits_2(tmp_path, module):
+    src = str(Path(qtclust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = ["cluster", "--input", str(tmp_path / "nope.csv"), "--eps", "0.1", "--q", "2", "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-m", module, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "nope.csv" in proc.stderr
 
 
 def test_bad_parameter_exits_2(tmp_path, clouds_csv):

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtclust import ensemble
 from qtclust import (
     LabelMatrix,
     ParameterError,
@@ -10,6 +13,9 @@ from qtclust import (
     consensus_matrix,
     eigendecompose,
     gen_gaussian_clouds,
+    labels_circle_clustering,
+    labels_direct_difference,
+    laplace_wavefunction,
     majority_partition,
     partitions_equivalent,
     run_qtc,
@@ -64,6 +70,21 @@ def test_equivalent_validation():
 
 def test_canonical_relabel_first_occurrence():
     assert np.array_equal(canonical_relabel([2, 2, 0, 1, 0]), [0, 0, 1, 2, 1])
+
+
+def test_canonical_relabel_wide_label_span():
+    assert np.array_equal(canonical_relabel([500, 500, -100, 7, -100]), [0, 0, 1, 2, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=40), st.integers(0, 3))
+def test_canonical_relabel_matches_first_appearance_oracle(values, spread):
+    # spread 0 keeps the labels within a few values of each other (table path);
+    # larger spreads push the label span past the table (sort path)
+    labels = [v % 5 - 2 for v in values] if spread == 0 else [v >> (20 * (3 - spread)) for v in values]
+    names = {}
+    expected = [names.setdefault(v, len(names)) for v in labels]
+    assert canonical_relabel(np.array(labels)).tolist() == expected
 
 
 def test_consensus_single_column():
@@ -188,3 +209,100 @@ def test_run_qtc_three_clouds_mostly_truth():
     labels, tally = majority_partition(omega, 3)
     assert max(tally.weights.values()) >= 0.9
     assert max(tally.weights.values()) >= 1.0 / omega.n_init
+
+
+def pairwise_grouping(omega_arr, q):
+    """Classes by exhaustive pairwise equivalence, keyed by the first member."""
+    groups = []
+    for k in range(omega_arr.shape[1]):
+        for g in groups:
+            if partitions_equivalent(omega_arr[:, g[0]], omega_arr[:, k], q):
+                g.append(k)
+                break
+        else:
+            groups.append([k])
+    return {g[0]: tuple(g) for g in groups}
+
+
+def consensus_oracle(omega_arr):
+    m, m_prime = omega_arr.shape
+    oracle = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            oracle[i, j] = sum(omega_arr[i, k] == omega_arr[j, k] for k in range(m_prime)) / m_prime
+    return oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_majority_hashed_grouping_matches_pairwise_property(data):
+    q = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 8))
+    m_prime = data.draw(st.integers(1, 12))
+    flat = data.draw(st.lists(st.integers(0, q - 1), min_size=m * m_prime, max_size=m * m_prime))
+    omega_arr = np.array(flat, dtype=int).reshape(m, m_prime)
+    labels, tally = majority_partition(LabelMatrix(omega=omega_arr, init_nodes=np.arange(m_prime)), q)
+    classes = pairwise_grouping(omega_arr, q)
+    assert tally.classes == classes
+    assert tally.weights == {rep: len(g) / m_prime for rep, g in classes.items()}
+    winner = max(classes, key=lambda rep: (len(classes[rep]), -rep))
+    assert np.array_equal(labels, canonical_relabel(omega_arr[:, winner]))
+
+
+def test_majority_rejects_labels_outside_range():
+    for bad in ([[0, 1], [2, 0]], [[0, -1], [1, 0]], [[2], [0]]):
+        arr = np.array(bad)
+        with pytest.raises(ParameterError):
+            majority_partition(LabelMatrix(omega=arr, init_nodes=np.arange(arr.shape[1])), 2)
+    with pytest.raises(ParameterError):
+        majority_partition(LabelMatrix(omega=np.zeros((3, 2), dtype=int), init_nodes=[0, 1]), 0)
+
+
+def test_consensus_exact_for_negative_and_sparse_labels():
+    rng = np.random.default_rng(5)
+    omega_arr = rng.choice([-1, 7, 42], size=(25, 15))
+    omega_arr[:, 3] = np.arange(25) * 1000 - 7000  # every node its own label
+    c = consensus_matrix(LabelMatrix(omega=omega_arr, init_nodes=np.arange(15)))
+    assert np.array_equal(c, consensus_oracle(omega_arr))
+
+
+@pytest.mark.parametrize("columns_per_block", [1, 3])
+def test_ensemble_blocks_do_not_change_results(monkeypatch, columns_per_block):
+    rng = np.random.default_rng(6)
+    omega_arr = rng.integers(0, 3, size=(20, 40))
+    omega_arr[:, 20:] = omega_arr[:, :20]
+    omega_arr[:, 7] = np.arange(20) % 10  # more labels than a one-hot block holds at one column per block
+    omega = LabelMatrix(omega=omega_arr, init_nodes=np.arange(40))
+    ref_labels, ref_tally = majority_partition(omega, 10)
+    ref_consensus = consensus_matrix(omega)
+    # 64 bytes per entry and 20 rows; a one-hot block then holds 8 * columns_per_block labels
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 20 * columns_per_block)
+    labels, tally = majority_partition(omega, 10)
+    assert np.array_equal(labels, ref_labels)
+    assert tally == ref_tally
+    assert tally.classes == pairwise_grouping(omega_arr, 10)
+    assert np.array_equal(consensus_matrix(omega), ref_consensus)
+    assert np.array_equal(ref_consensus, consensus_oracle(omega_arr))
+
+
+@pytest.mark.parametrize("method", ["circle", "diff"])
+def test_run_qtc_matches_per_column_reference(monkeypatch, method):
+    pts = gen_gaussian_clouds([(0, 0), (0.6, 0), (0.3, 0.52)], 0.1, 12, seed=3)
+    graph = build_graph(pts, 0.15)
+    eig = eigendecompose(graph.hamiltonian)
+    m, m_prime, s, seed = 36, 25, 0.02, 11
+    # seven start nodes per block, so the 25 columns span four blocks
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * m * 7)
+    omega = run_qtc(eig, s, 3, m_prime=m_prime, seed=seed, method=method)
+    rng = np.random.default_rng(seed)
+    init_nodes = rng.choice(m, size=m_prime, replace=False)
+    col_seeds = rng.integers(0, 2**63 - 1, size=m_prime)
+    expected = np.empty((m, m_prime), dtype=int)
+    for k in range(m_prime):
+        phases = laplace_wavefunction(eig, int(init_nodes[k]), s).phases
+        if method == "circle":
+            expected[:, k] = labels_circle_clustering(phases, 3, int(col_seeds[k]))
+        else:
+            expected[:, k] = labels_direct_difference(phases, 3)
+    assert np.array_equal(omega.init_nodes, init_nodes)
+    assert np.array_equal(omega.omega, expected)

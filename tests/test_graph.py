@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qtclust import graph as graph_module
 from qtclust import (
     InputError,
     IsolatedNodeError,
@@ -164,6 +165,43 @@ def test_laplacians_rejects_asymmetric_and_negative():
         laplacians(np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(InputError):
         laplacians(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+
+
+def _reference_hamiltonian(a):
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    h = np.eye(a.shape[0]) - a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return (h + h.T) / 2.0
+
+
+@pytest.mark.parametrize("tile_rows", [None, 1, 7, 40])
+def test_laplacians_in_place_build_is_bit_identical(monkeypatch, tile_rows):
+    if tile_rows is not None:
+        monkeypatch.setattr(graph_module, "_tile_rows", lambda m: tile_rows)
+    rng = np.random.default_rng(7)
+    dist = pairwise_distances(PointSet(rng.normal(size=(53, 2))))
+    a = gaussian_adjacency(dist, quantile_proximity(dist, 0.2))
+    a[a < 0.05] = 0.0  # exact zeros, where -0.0 would differ by bytes
+    g = laplacians(a)
+    assert g.hamiltonian.tobytes() == _reference_hamiltonian(a).tobytes()
+
+
+def test_laplacians_tiled_symmetry_check_sees_every_tile(monkeypatch):
+    monkeypatch.setattr(graph_module, "_tile_rows", lambda m: 3)
+    a = np.ones((10, 10))
+    a[9, 4] = 0.5
+    with pytest.raises(InputError):
+        laplacians(a)
+    a = np.ones((10, 10))
+    a[0, 9] = 1.0 + 1e-9
+    with pytest.raises(InputError):
+        laplacians(a)
+
+
+def test_gaussian_adjacency_in_place_is_bit_identical():
+    rng = np.random.default_rng(8)
+    dist = pairwise_distances(PointSet(rng.normal(size=(30, 3))))
+    r_eps = quantile_proximity(dist, 0.3)
+    assert gaussian_adjacency(dist, r_eps).tobytes() == np.exp(-np.square(dist / r_eps)).tobytes()
 
 
 def test_pointset_truth_length_checked():

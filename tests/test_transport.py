@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qtclust import transport
 from qtclust import (
     DegenerateGapError,
     GapReport,
@@ -8,6 +9,7 @@ from qtclust import (
     ParameterError,
     eigendecompose,
     gap_stats,
+    laplace_amplitudes,
     laplace_wavefunction,
     phase_field,
     select_s,
@@ -112,3 +114,52 @@ def test_phase_field_negative_real_axis_maps_to_pi():
 def test_phase_field_underflow_warns():
     with pytest.warns(RuntimeWarning):
         phase_field(np.array([1e-310 + 0j, 1.0 + 0j]))
+
+
+def test_laplace_amplitudes_match_direct_solve():
+    rng = np.random.default_rng(1)
+    for seed in range(10):
+        m = int(rng.integers(10, 60))
+        graph, eig = random_geometric_graph(seed + 300, m)
+        init = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        s = float(rng.uniform(0.05, 2.0))
+        amps = laplace_amplitudes(eig, init, s)
+        direct = np.linalg.solve(s * np.eye(m) + 1j * graph.hamiltonian, np.eye(m)[:, init])
+        assert amps.shape == (m, init.size)
+        assert np.abs(amps - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_laplace_amplitudes_match_per_column_wavefunction():
+    rng = np.random.default_rng(2)
+    for seed in range(5):
+        m = int(rng.integers(10, 60))
+        _, eig = random_geometric_graph(seed + 400, m)
+        init = rng.permutation(m)
+        s = float(rng.uniform(0.05, 2.0))
+        amps = laplace_amplitudes(eig, init, s)
+        for k, j in enumerate(init):
+            column = laplace_wavefunction(eig, int(j), s).amplitudes
+            assert np.abs(amps[:, k] - column).max() <= 1e-12 * np.abs(column).max()
+
+
+def test_laplace_amplitudes_exact_fallback_below_floor(monkeypatch):
+    _, eig = random_geometric_graph(5, 30)
+    init = np.array([0, 7, 29])
+    gemm = laplace_amplitudes(eig, init, 0.4)
+    # a floor above every amplitude sends each entry through math.fsum
+    monkeypatch.setattr(transport, "UNDERFLOW_FLOOR", 1e300)
+    exact = laplace_amplitudes(eig, init, 0.4)
+    assert np.abs(exact - gemm).max() <= 1e-12 * np.abs(gemm).max()
+    with pytest.warns(RuntimeWarning, match="underflowed"):
+        wave = laplace_wavefunction(eig, 7, 0.4)
+    assert np.abs(wave.amplitudes - gemm[:, 1]).max() <= 1e-12 * np.abs(gemm).max()
+
+
+def test_laplace_amplitudes_validation():
+    _, eig = random_geometric_graph(1, 10)
+    for bad in ([10], [-1, 2], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ParameterError):
+            laplace_amplitudes(eig, bad, 0.5)
+    for s in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            laplace_amplitudes(eig, [0], s)
