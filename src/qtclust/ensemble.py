@@ -20,8 +20,6 @@ _XI_TOL = 1e-6
 # scratch budget of one column block in run_qtc, majority_partition and
 # consensus_matrix; the block width follows from m, so the scratch stays small
 _BLOCK_BYTES = 4 << 20
-# label spans below this are relabeled through a first-appearance table
-_TABLE_SPAN = 64
 
 LABEL_METHODS = ("circle", "diff")
 
@@ -69,25 +67,34 @@ def canonical_relabel(labels: np.ndarray) -> np.ndarray:
 def _canonical_rows(block: np.ndarray) -> np.ndarray:
     """``canonical_relabel`` of every row of a 2-D integer array.
 
-    When the labels span fewer than ``_TABLE_SPAN`` values, which covers every
-    labeler's output, one comparison against each value finds its first row
-    position, and ranking those positions gives the new names.  Wider label
-    sets fall back to a sort per row.
+    Sorting each row gathers equal labels into runs, and the smallest
+    position in a run is that label's first appearance.  The runs of all
+    rows sit in one flat array, row after row, so a single sort of the first
+    appearances ranks the labels of every row at once.  Works for any
+    integer labels.
     """
-    if block.size == 0:
+    rows, n = block.shape
+    size = rows * n
+    if size == 0:
         return np.zeros(block.shape, dtype=np.intp)
-    low, high = int(block.min()), int(block.max())
-    if high - low < _TABLE_SPAN:
-        hit = block[:, None, :] == np.arange(low, high + 1)[:, None]
-        # absent values sit at position n, after every present one
-        first = np.where(hit.any(axis=2), hit.argmax(axis=2), block.shape[1])
-        rank = np.argsort(np.argsort(first, axis=1), axis=1)
-        return rank[np.arange(block.shape[0])[:, None], block - low]
-    out = np.empty(block.shape, dtype=np.intp)
-    for row, lab in zip(out, block):
-        _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
-        row[:] = np.argsort(np.argsort(first))[inverse]
-    return out
+    row_start = np.arange(0, size, n)
+    order = np.argsort(block, axis=1)
+    order += row_start[:, None]
+    order = order.ravel()
+    srt = block.ravel()[order]
+    new_run = np.empty(size, dtype=bool)
+    np.not_equal(srt[1:], srt[:-1], out=new_run[1:])
+    new_run[row_start] = True
+    runs = np.flatnonzero(new_run)
+    first = np.minimum.reduceat(order, runs)
+    # sorting by first appearance keeps each row's runs in the same index
+    # range, so a run's rank in its row is its sorted index minus the index
+    # of the row's first run
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(runs.size) - np.searchsorted(runs, row_start)[runs // n]
+    out = np.empty(size, dtype=np.intp)
+    out[order] = np.repeat(rank, np.diff(runs, append=size))
+    return out.reshape(rows, n)
 
 
 def _block_width(m: int) -> int:
@@ -108,28 +115,33 @@ def _canonical_blocks(cols: np.ndarray):
 def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
     """True iff the two label vectors agree up to a renaming of labels.
 
-    Decided by canonical relabeling, and cross-checked against the sqrt-prime
-    fingerprint xi_i = a_i sqrt(2) + b_i sqrt(3): the columns are equivalent
-    exactly when the number of distinct fingerprints matches the number of
-    distinct labels in each column.  A disagreement between the two routes
-    indicates a float-tolerance failure and raises.
+    Decided exactly: the columns are equivalent when they use equally many
+    labels and every label of ``col_a`` meets a single label of ``col_b``,
+    so the pairs (a_i, b_i) name a bijection.  Cross-checked against the
+    sqrt-prime fingerprint xi_i = a_i sqrt(2) + b_i sqrt(3): the columns are
+    equivalent exactly when the number of distinct fingerprints matches the
+    number of distinct labels in each column.  A disagreement between the two
+    routes indicates a float-tolerance failure and raises.
     """
     a = np.asarray(col_a, dtype=int)
     b = np.asarray(col_b, dtype=int)
     if a.ndim != 1 or a.shape != b.shape:
         raise ParameterError("label vectors must be one-dimensional and equally long")
-    pair = np.stack([a, b])
-    if q < 1 or pair.min() < 0 or pair.max() >= q:
+    if q < 1 or min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= q:
         raise ParameterError(f"labels must lie in [0, {q})")
-    canon = _canonical_rows(pair)
-    exact = bool(np.array_equal(canon[0], canon[1]))
+    order = np.argsort(a)
+    a_sorted, b_by_a = a[order], b[order]
+    same_a = a_sorted[1:] == a_sorted[:-1]
+    b_sorted = np.sort(b)
+    n_a = a.size - int(np.count_nonzero(same_a))
+    n_b = b.size - int(np.count_nonzero(b_sorted[1:] == b_sorted[:-1]))
+    exact = n_a == n_b and not np.any(same_a & (b_by_a[1:] != b_by_a[:-1]))
     xi = np.sort(a * _SQRT_P[0] + b * _SQRT_P[1])
     distinct = 1 + int(np.count_nonzero(np.diff(xi) > _XI_TOL))
-    # a canonical relabeling's largest label is one less than the label count
-    fingerprint = distinct == canon[0].max() + 1 == canon[1].max() + 1
+    fingerprint = distinct == n_a == n_b
     if fingerprint != exact:
         raise ConsistencyError(
-            "sqrt-prime fingerprint disagrees with canonical relabeling; "
+            "sqrt-prime fingerprint disagrees with the exact label count; "
             "float tolerance failure in the equivalence test"
         )
     return exact
@@ -201,10 +213,11 @@ def majority_partition(omega: LabelMatrix, q: int):
             rep = rep_of.setdefault(row.tobytes(), k)
             if rep == k:
                 members[k] = [k]
-            elif partitions_equivalent(cols[:, rep], cols[:, k], q):
-                members[rep].append(k)
             else:
-                raise ConsistencyError("canonical relabelings agree but the columns are not equivalent")
+                # equal canonical bytes make the columns equivalent; the call
+                # runs the fingerprint cross-check, which raises on disagreement
+                partitions_equivalent(cols[:, rep], cols[:, k], q)
+                members[rep].append(k)
     weights = {rep: len(group) / m_prime for rep, group in members.items()}
     winner = max(members, key=lambda rep: (weights[rep], -rep))
     tally = PartitionTally(

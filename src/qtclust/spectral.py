@@ -68,10 +68,8 @@ def eigendecompose(matrix: np.ndarray, clamp_tol: float = CLAMP_TOL) -> EigenSys
         raise InputError("matrix contains non-finite entries")
     if np.abs(h - h.T).max() > 1e-10:
         raise InputError("matrix is not symmetric within 1e-10")
-    # an exactly symmetric h (every GraphBundle's H) equals (h + h^T) / 2 bit for bit
-    sym = h if np.array_equal(h, h.T) else (h + h.T) / 2.0
     try:
-        energies, modes = np.linalg.eigh(sym)
+        energies, modes = np.linalg.eigh((h + h.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from None
     energies = energies.copy()

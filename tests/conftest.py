@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtclust import PointSet, eigendecompose, build_graph
+from qtclust import PointSet, eigendecompose, build_graph, partitions_equivalent
 
 
 def random_geometric_graph(seed, m, d=2, eps=None):
@@ -18,3 +18,16 @@ def random_geometric_graph(seed, m, d=2, eps=None):
 def two_node_eig():
     """Single-edge graph: energies (0, 2), symmetric/antisymmetric modes."""
     return eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def pairwise_grouping(omega_arr, q):
+    """Classes by exhaustive pairwise equivalence, keyed by the first member."""
+    groups = []
+    for k in range(omega_arr.shape[1]):
+        for g in groups:
+            if partitions_equivalent(omega_arr[:, g[0]], omega_arr[:, k], q):
+                g.append(k)
+                break
+        else:
+            groups.append([k])
+    return {g[0]: tuple(g) for g in groups}

@@ -2,11 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qtclust import ensemble
 from qtclust import (
+    ConsistencyError,
     LabelMatrix,
     ParameterError,
     canonical_relabel,
@@ -21,6 +20,8 @@ from qtclust import (
     run_qtc,
     build_graph,
 )
+
+from conftest import pairwise_grouping
 
 
 def brute_force_equivalent(a, b, q):
@@ -74,17 +75,6 @@ def test_canonical_relabel_first_occurrence():
 
 def test_canonical_relabel_wide_label_span():
     assert np.array_equal(canonical_relabel([500, 500, -100, 7, -100]), [0, 0, 1, 2, 1])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=40), st.integers(0, 3))
-def test_canonical_relabel_matches_first_appearance_oracle(values, spread):
-    # spread 0 keeps the labels within a few values of each other (table path);
-    # larger spreads push the label span past the table (sort path)
-    labels = [v % 5 - 2 for v in values] if spread == 0 else [v >> (20 * (3 - spread)) for v in values]
-    names = {}
-    expected = [names.setdefault(v, len(names)) for v in labels]
-    assert canonical_relabel(np.array(labels)).tolist() == expected
 
 
 def test_consensus_single_column():
@@ -211,19 +201,6 @@ def test_run_qtc_three_clouds_mostly_truth():
     assert max(tally.weights.values()) >= 1.0 / omega.n_init
 
 
-def pairwise_grouping(omega_arr, q):
-    """Classes by exhaustive pairwise equivalence, keyed by the first member."""
-    groups = []
-    for k in range(omega_arr.shape[1]):
-        for g in groups:
-            if partitions_equivalent(omega_arr[:, g[0]], omega_arr[:, k], q):
-                g.append(k)
-                break
-        else:
-            groups.append([k])
-    return {g[0]: tuple(g) for g in groups}
-
-
 def consensus_oracle(omega_arr):
     m, m_prime = omega_arr.shape
     oracle = np.zeros((m, m))
@@ -233,20 +210,15 @@ def consensus_oracle(omega_arr):
     return oracle
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_majority_hashed_grouping_matches_pairwise_property(data):
-    q = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(1, 8))
-    m_prime = data.draw(st.integers(1, 12))
-    flat = data.draw(st.lists(st.integers(0, q - 1), min_size=m * m_prime, max_size=m * m_prime))
-    omega_arr = np.array(flat, dtype=int).reshape(m, m_prime)
-    labels, tally = majority_partition(LabelMatrix(omega=omega_arr, init_nodes=np.arange(m_prime)), q)
-    classes = pairwise_grouping(omega_arr, q)
-    assert tally.classes == classes
-    assert tally.weights == {rep: len(g) / m_prime for rep, g in classes.items()}
-    winner = max(classes, key=lambda rep: (len(classes[rep]), -rep))
-    assert np.array_equal(labels, canonical_relabel(omega_arr[:, winner]))
+def test_fingerprint_disagreement_raises_through_majority(monkeypatch):
+    # a tolerance wider than every fingerprint gap merges all fingerprints, so
+    # the float route sees one class where the exact route sees two labels
+    monkeypatch.setattr(ensemble, "_XI_TOL", 100.0)
+    with pytest.raises(ConsistencyError):
+        partitions_equivalent([0, 1, 1], [1, 0, 0], 2)
+    omega = LabelMatrix(omega=np.array([[0, 1, 0], [1, 0, 0]]), init_nodes=np.arange(3))
+    with pytest.raises(ConsistencyError):
+        majority_partition(omega, 2)
 
 
 def test_majority_rejects_labels_outside_range():

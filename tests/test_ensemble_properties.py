@@ -1,0 +1,39 @@
+"""Property tests of the ensemble's relabeling and hashed majority vote."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtclust import LabelMatrix, canonical_relabel, majority_partition
+
+from conftest import pairwise_grouping
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_relabel_matches_first_appearance_oracle(data):
+    # a few values drawn from the whole int64 range, repeated along the row
+    pool = data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=6))
+    labels = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    names = {}
+    expected = [names.setdefault(v, len(names)) for v in labels]
+    assert canonical_relabel(np.array(labels)).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_majority_hashed_grouping_matches_pairwise_property(data):
+    q = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 8))
+    m_prime = data.draw(st.integers(1, 12))
+    flat = data.draw(st.lists(st.integers(0, q - 1), min_size=m * m_prime, max_size=m * m_prime))
+    omega_arr = np.array(flat, dtype=int).reshape(m, m_prime)
+    labels, tally = majority_partition(LabelMatrix(omega=omega_arr, init_nodes=np.arange(m_prime)), q)
+    classes = pairwise_grouping(omega_arr, q)
+    assert tally.classes == classes
+    assert tally.weights == {rep: len(g) / m_prime for rep, g in classes.items()}
+    winner = max(classes, key=lambda rep: (len(classes[rep]), -rep))
+    assert np.array_equal(labels, canonical_relabel(omega_arr[:, winner]))

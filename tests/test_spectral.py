@@ -149,23 +149,3 @@ def test_determinism():
     b = eigendecompose(graph.hamiltonian)
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.modes, b.modes)
-
-
-def _reference_eigensystem(h):
-    energies, modes = np.linalg.eigh((h + h.T) / 2.0)
-    energies[np.abs(energies) < 1e-10] = 0.0
-    anchor = np.abs(modes).argmax(axis=0)
-    signs = np.sign(modes[anchor, np.arange(modes.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return energies, modes * signs
-
-
-def test_symmetric_input_skips_symmetrization_bit_for_bit():
-    graph, _ = random_geometric_graph(3, 40)
-    rng = np.random.default_rng(9)
-    nudge = np.triu(rng.normal(scale=1e-13, size=(40, 40)), 1)
-    for h in (graph.hamiltonian, graph.hamiltonian + nudge):
-        eig = eigendecompose(h)
-        energies, modes = _reference_eigensystem(h)
-        assert eig.energies.tobytes() == energies.tobytes()
-        assert eig.modes.tobytes() == modes.tobytes()
