@@ -95,11 +95,14 @@ def quantile_proximity(dist: np.ndarray, eps: float) -> float:
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError("distance matrix must be square")
-    upper = d[np.triu_indices(d.shape[0], k=1)]
-    positive = upper[upper > 0.0]
+    m = d.shape[0]
+    # positive entries above the diagonal: a boolean mask takes m^2 bytes, triangle index arrays 8 m^2
+    mask = d > 0.0
+    mask &= np.arange(m)[:, None] < np.arange(m)[None, :]
+    positive = d[mask]
     if positive.size == 0:
         raise InputError("all pairwise distances are zero; no proximity scale exists")
-    return float(np.quantile(positive, eps))
+    return float(np.quantile(positive, eps, overwrite_input=True))
 
 
 def gaussian_adjacency(dist: np.ndarray, r_eps: float) -> np.ndarray:

@@ -1,7 +1,10 @@
 """CSV readers and writers for points, matrices, and labels.
 
-Floats are written with 17 significant digits so every file round-trips
-bit-exactly through text.
+Floats are written as ``%.17g``, so every file round-trips bit-exactly
+through text: ``-0.0`` is written ``-0``, infinities ``inf`` and ``-inf``,
+and every NaN ``nan``.  A matrix file depends on the matrix's bits only, so
+a rerun writes byte-identical files at a fixed BLAS thread count; runs at 1
+and at 2 threads compute matrices that differ in the last bits.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from .errors import InputError
 from .graph import PointSet
 
 _FMT = "%.17g"
+# entries per block of rows in save_matrix_csv; sets the writer's working memory (about 0.5 MiB)
+_WRITE_BLOCK = 1 << 13
 
 
 def save_points_csv(path, points: PointSet) -> None:
@@ -67,24 +72,56 @@ def load_points_csv(path) -> PointSet:
 
 
 def save_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Plain numeric grid, row-major, no header."""
+    """Plain numeric grid, row-major, no header.
+
+    Each row is ``",".join(_FMT % v for v in row)`` plus a newline.  The rows
+    go out in blocks of about ``_WRITE_BLOCK`` entries.  A block in which
+    most bit patterns repeat (a consensus matrix holds at most m' + 1
+    distinct values) formats each distinct one once and looks the rest up; a
+    block of mostly distinct values (the P, S and JSD kernels) is formatted
+    by one ``%`` over all its values, since a table would save little there.
+    """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if arr.ndim != 2:
+        raise InputError(f"matrix must be 1-D or 2-D, got shape {arr.shape}")
+    n = arr.shape[1]
+    step = max(1, _WRITE_BLOCK // max(n, 1))
+    row_fmt = ",".join([_FMT] * n) + "\n"
     with Path(path).open("w", newline="") as fh:
-        for row in arr:
-            fh.write(",".join(_FMT % v for v in row))
-            fh.write("\n")
+        for lo in range(0, arr.shape[0], step):
+            block = np.ascontiguousarray(arr[lo : lo + step])
+            # distinct values by bits: -0.0 stays apart from 0.0, and every NaN and inf is kept
+            keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            if 2 * keys.size >= block.size:  # mostly distinct, or no columns
+                text = row_fmt * len(block) % tuple(block.ravel().tolist())
+            else:
+                # one % formats each distinct value once, comma included; "\0" separates the entries
+                table = ((_FMT + ",\0") * keys.size % tuple(keys.view(np.float64).tolist())).split("\0")
+                cells = np.array(table, dtype=object)[inverse.reshape(-1)].tolist()
+                # the last cell of each row trades its comma for the newline
+                cells[n - 1 :: n] = [cell[:-1] + "\n" for cell in cells[n - 1 :: n]]
+                text = "".join(cells)
+            fh.write(text)
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """Read a grid written by ``save_matrix_csv``; blank lines are skipped."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     rows = []
     with path.open(newline="") as fh:
-        for line in fh:
+        for line_num, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+            if not line:
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise InputError(f"{path}, line {line_num}: non-numeric cell in {line!r}") from None
+            if rows and len(row) != len(rows[0]):
+                raise InputError(f"{path}, line {line_num}: expected {len(rows[0])} cells, got {len(row)}")
+            rows.append(row)
     if not rows:
         raise InputError(f"{path} has no data rows")
     return np.asarray(rows, dtype=float)

@@ -57,6 +57,11 @@ class GapReport:
 def eigendecompose(matrix: np.ndarray, clamp_tol: float = CLAMP_TOL) -> EigenSystem:
     """Full dense decomposition of a symmetric matrix.
 
+    The matrix goes to ``np.linalg.eigh`` as it is, and eigh reads only its
+    lower triangle.  The upper triangle must match within 1e-10, so for
+    exactly symmetric input (every ``GraphBundle.hamiltonian``) this is the
+    decomposition of ``(H + H^T) / 2`` bit for bit, without that m x m copy.
+
     Eigenvalues within ``clamp_tol`` of zero are snapped to exactly zero: for
     a connected similarity graph the ground energy is zero analytically, and
     downstream gap ratios should not see rounding noise there.
@@ -69,7 +74,7 @@ def eigendecompose(matrix: np.ndarray, clamp_tol: float = CLAMP_TOL) -> EigenSys
     if np.abs(h - h.T).max() > 1e-10:
         raise InputError("matrix is not symmetric within 1e-10")
     try:
-        energies, modes = np.linalg.eigh((h + h.T) / 2.0)
+        energies, modes = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from None
     energies = energies.copy()

@@ -31,3 +31,25 @@ def pairwise_grouping(omega_arr, q):
         else:
             groups.append([k])
     return {g[0]: tuple(g) for g in groups}
+
+
+# floats whose text form is easy to get wrong: signed zero and NaN, NaN payloads, subnormals, 1e22
+FLOAT_SPECIALS = [
+    0.0,
+    -0.0,
+    np.inf,
+    -np.inf,
+    np.nan,
+    float(np.copysign(np.nan, -1.0)),
+    float(np.array([0x7FF8000000000001]).view(np.float64)[0]),
+    5e-324,
+    -2.2250738585072014e-308,
+    1e22,
+    0.1,
+]
+
+
+def matrix_csv_oracle(matrix):
+    """The bytes of a matrix CSV, formatted one entry at a time."""
+    arr = np.atleast_2d(np.asarray(matrix, dtype=float))
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in arr).encode()

@@ -87,6 +87,25 @@ def test_quantile_matches_sorting_oracle():
     assert quantile_proximity(r, eps) == pytest.approx(expected, abs=1e-12)
 
 
+def _triu_quantile_oracle(dist, eps):
+    upper = dist[np.triu_indices(dist.shape[0], k=1)]
+    return float(np.quantile(upper[upper > 0.0], eps))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.random.default_rng(7).normal(size=(60, 3)),  # random
+        np.random.default_rng(8).integers(0, 4, size=(50, 2)).astype(float),  # grid: many tied distances
+        np.repeat(np.random.default_rng(9).normal(size=(15, 2)), 3, axis=0),  # duplicate points: zero distances
+    ],
+)
+def test_quantile_matches_triu_indices_formula_exactly(points):
+    dist = pairwise_distances(PointSet(points))
+    for eps in (0.01, 0.1, 0.3, 0.5, 0.77, 0.99):
+        assert quantile_proximity(dist, eps) == _triu_quantile_oracle(dist, eps)
+
+
 def test_quantile_parameter_validation():
     r = pairwise_distances(PointSet(np.array([[0.0], [1.0]])))
     with pytest.raises(ParameterError):

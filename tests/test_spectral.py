@@ -149,3 +149,26 @@ def test_determinism():
     b = eigendecompose(graph.hamiltonian)
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.modes, b.modes)
+
+
+def test_eigendecompose_equals_symmetrized_eigh_bit_for_bit():
+    for seed in range(3):
+        graph, eig = random_geometric_graph(seed, 50)
+        h = graph.hamiltonian
+        assert np.array_equal(h, h.T)
+        energies, modes = np.linalg.eigh((h + h.T) / 2.0)
+        energies[np.abs(energies) < 1e-10] = 0.0
+        signs = np.sign(modes[np.abs(modes).argmax(axis=0), np.arange(50)])
+        signs[signs == 0.0] = 1.0
+        assert eig.energies.tobytes() == energies.tobytes()
+        assert eig.modes.tobytes() == (modes * signs).tobytes()
+
+
+def test_eigendecompose_reads_lower_triangle_of_near_symmetric_input():
+    graph, _ = random_geometric_graph(5, 30)
+    h = graph.hamiltonian.copy()
+    h[np.triu_indices(30, 1)] += 1e-12  # within the symmetry tolerance
+    lower = np.tril(h) + np.tril(h, -1).T
+    a, b = eigendecompose(h), eigendecompose(lower)
+    assert a.energies.tobytes() == b.energies.tobytes()
+    assert a.modes.tobytes() == b.modes.tobytes()
