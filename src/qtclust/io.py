@@ -18,8 +18,10 @@ from .errors import InputError
 from .graph import PointSet
 
 _FMT = "%.17g"
-# entries per block of rows in save_matrix_csv; sets the writer's working memory (about 0.5 MiB)
-_WRITE_BLOCK = 1 << 13
+# entries per block of rows in save_matrix_csv.  The block sets the writer's scratch, about
+# 0.25 KiB per distinct value, which the allocator keeps resident after the write; at m=600 the
+# JSD kernel's memory peak rose 2 MiB with 8192-entry blocks and 0.3 MiB with 2048.
+_WRITE_BLOCK = 1 << 11
 
 
 def save_points_csv(path, points: PointSet) -> None:
@@ -75,33 +77,30 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
     """Plain numeric grid, row-major, no header.
 
     Each row is ``",".join(_FMT % v for v in row)`` plus a newline.  The rows
-    go out in blocks of about ``_WRITE_BLOCK`` entries.  A block in which
-    most bit patterns repeat (a consensus matrix holds at most m' + 1
-    distinct values) formats each distinct one once and looks the rest up; a
-    block of mostly distinct values (the P, S and JSD kernels) is formatted
-    by one ``%`` over all its values, since a table would save little there.
+    go out in blocks of about ``_WRITE_BLOCK`` entries; each distinct value
+    of a block is formatted once and the rows are built by table lookup, so
+    a consensus matrix (at most m' + 1 distinct values) costs little more
+    than its bytes.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     if arr.ndim != 2:
         raise InputError(f"matrix must be 1-D or 2-D, got shape {arr.shape}")
     n = arr.shape[1]
-    step = max(1, _WRITE_BLOCK // max(n, 1))
-    row_fmt = ",".join([_FMT] * n) + "\n"
     with Path(path).open("w", newline="") as fh:
+        if n == 0:  # rows without cells are bare newlines
+            fh.write("\n" * arr.shape[0])
+            return
+        step = max(1, _WRITE_BLOCK // n)
         for lo in range(0, arr.shape[0], step):
             block = np.ascontiguousarray(arr[lo : lo + step])
             # distinct values by bits: -0.0 stays apart from 0.0, and every NaN and inf is kept
             keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            if 2 * keys.size >= block.size:  # mostly distinct, or no columns
-                text = row_fmt * len(block) % tuple(block.ravel().tolist())
-            else:
-                # one % formats each distinct value once, comma included; "\0" separates the entries
-                table = ((_FMT + ",\0") * keys.size % tuple(keys.view(np.float64).tolist())).split("\0")
-                cells = np.array(table, dtype=object)[inverse.reshape(-1)].tolist()
-                # the last cell of each row trades its comma for the newline
-                cells[n - 1 :: n] = [cell[:-1] + "\n" for cell in cells[n - 1 :: n]]
-                text = "".join(cells)
-            fh.write(text)
+            # one % formats each distinct value once, comma included; "\0" separates the entries
+            table = ((_FMT + ",\0") * keys.size % tuple(keys.view(np.float64).tolist())).split("\0")
+            cells = np.array(table, dtype=object)[inverse.reshape(-1)].tolist()
+            # the last cell of each row trades its comma for the newline
+            cells[n - 1 :: n] = [cell[:-1] + "\n" for cell in cells[n - 1 :: n]]
+            fh.write("".join(cells))
 
 
 def load_matrix_csv(path) -> np.ndarray:

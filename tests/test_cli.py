@@ -14,8 +14,6 @@ import qtclust
 from qtclust import InputError, gen_gaussian_clouds
 from qtclust.io import save_points_csv
 
-from conftest import matrix_csv_oracle
-
 
 @pytest.fixture
 def clouds_csv(tmp_path):
@@ -61,18 +59,6 @@ def test_cluster_reruns_byte_identical(tmp_path, clouds_csv):
         assert main(["cluster", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--out", str(out)]) == 0
     assert (out_a / "labels.csv").read_bytes() == (out_b / "labels.csv").read_bytes()
     assert (out_a / "consensus.csv").read_bytes() == (out_b / "consensus.csv").read_bytes()
-
-
-def test_cluster_consensus_csv_byte_identical_across_runs_and_block_bounds(tmp_path, clouds_csv, monkeypatch):
-    argv = ["cluster", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--m-prime", "30", "--seed", "5"]
-    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
-    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
-    monkeypatch.setattr(qtclust.io, "_WRITE_BLOCK", 7)
-    assert main(argv + ["--out", str(tmp_path / "c")]) == 0
-    first = (tmp_path / "a" / "consensus.csv").read_bytes()
-    assert first == (tmp_path / "b" / "consensus.csv").read_bytes()
-    assert first == (tmp_path / "c" / "consensus.csv").read_bytes()
-    assert first == matrix_csv_oracle(load_matrix_csv(tmp_path / "a" / "consensus.csv"))
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -25,7 +25,7 @@ def test_save_matrix_matches_per_entry_oracle(tmp_path, shape):
 
 @pytest.mark.parametrize("distinct", [1.0, 0.6, 0.4, 0.05])
 def test_save_matrix_oracle_at_any_share_of_distinct_values(tmp_path, distinct):
-    # blocks of mostly distinct values are formatted directly, the others through a table
+    # tables from one entry per cell (the kernels) to a few repeated values (a consensus matrix)
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(30, 20)) * 10.0 ** rng.integers(-20, 20, size=(30, 20))
     repeat = rng.random(matrix.shape) > distinct
