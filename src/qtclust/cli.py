@@ -238,7 +238,7 @@ def cmd_kernel(args) -> None:
     if args.kind == "P":
         matrix = transition_kernel(eig)
     elif args.kind == "S":
-        s = args.s if args.s else select_s(gap_stats(eig, 2), _laplace_params(args))
+        s = args.s if args.s is not None else select_s(gap_stats(eig, 2), _laplace_params(args))
         matrix = laplace_similarity(eig, s)
     else:
         matrix = jsd_matrix(eig)
@@ -374,7 +374,8 @@ def _parser() -> argparse.ArgumentParser:
         ensemble.add_argument("--q", type=int, required=True, help="number of clusters")
         add_s_options(ensemble)
         add_label_options(ensemble)
-        ensemble.add_argument("--summary", choices=SUMMARIES, default="both")
+        if name == "cluster":
+            ensemble.add_argument("--summary", choices=SUMMARIES, default="both")
         ensemble.set_defaults(func=func)
 
     spectral = sub.add_parser("spectral", help="spectral clustering baseline")

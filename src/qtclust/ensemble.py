@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError
+from .errors import ParameterError
 from .graph import _readonly
 from .labeling import labels_circle_clustering, labels_direct_difference
 from .spectral import EigenSystem
 from .transport import laplace_amplitudes, phase_field
 
-# sqrt of two primes: irrational, linearly independent over the rationals, so
-# integer label pairs map to distinct fingerprints
-_SQRT_P = (math.sqrt(2.0), math.sqrt(3.0))
-_XI_TOL = 1e-6
 # scratch budget of one column block in run_qtc, majority_partition and
 # consensus_matrix; the block width follows from m, so the scratch stays small
 _BLOCK_BYTES = 4 << 20
@@ -115,13 +110,8 @@ def _canonical_blocks(cols: np.ndarray):
 def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
     """True iff the two label vectors agree up to a renaming of labels.
 
-    Decided exactly: the columns are equivalent when they use equally many
-    labels and every label of ``col_a`` meets a single label of ``col_b``,
-    so the pairs (a_i, b_i) name a bijection.  Cross-checked against the
-    sqrt-prime fingerprint xi_i = a_i sqrt(2) + b_i sqrt(3): the columns are
-    equivalent exactly when the number of distinct fingerprints matches the
-    number of distinct labels in each column.  A disagreement between the two
-    routes indicates a float-tolerance failure and raises.
+    Decided by the same rule the majority vote groups by: the columns are
+    equivalent exactly when their canonical relabelings are equal.
     """
     a = np.asarray(col_a, dtype=int)
     b = np.asarray(col_b, dtype=int)
@@ -129,22 +119,8 @@ def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
         raise ParameterError("label vectors must be one-dimensional and equally long")
     if q < 1 or min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= q:
         raise ParameterError(f"labels must lie in [0, {q})")
-    order = np.argsort(a)
-    a_sorted, b_by_a = a[order], b[order]
-    same_a = a_sorted[1:] == a_sorted[:-1]
-    b_sorted = np.sort(b)
-    n_a = a.size - int(np.count_nonzero(same_a))
-    n_b = b.size - int(np.count_nonzero(b_sorted[1:] == b_sorted[:-1]))
-    exact = n_a == n_b and not np.any(same_a & (b_by_a[1:] != b_by_a[:-1]))
-    xi = np.sort(a * _SQRT_P[0] + b * _SQRT_P[1])
-    distinct = 1 + int(np.count_nonzero(np.diff(xi) > _XI_TOL))
-    fingerprint = distinct == n_a == n_b
-    if fingerprint != exact:
-        raise ConsistencyError(
-            "sqrt-prime fingerprint disagrees with the exact label count; "
-            "float tolerance failure in the equivalence test"
-        )
-    return exact
+    canon = _canonical_rows(np.stack([a, b]))
+    return np.array_equal(canon[0], canon[1])
 
 
 def run_qtc(
@@ -193,13 +169,11 @@ def run_qtc(
 def majority_partition(omega: LabelMatrix, q: int):
     """Group equivalent columns and return the heaviest partition plus tally.
 
-    Columns are grouped by the bytes of their canonical relabeling, and each
-    column that joins an existing class is confirmed once against the class
-    representative with :func:`partitions_equivalent`, which keeps its
-    fingerprint cross-check live.  Returns the canonical relabeling of a
-    column from the heaviest class and a PartitionTally keyed by each class's
-    first (lowest) column index.  Weight ties go to the class with the lowest
-    representative index.
+    Columns are grouped by the bytes of their canonical relabeling, the rule
+    :func:`partitions_equivalent` decides by.  Returns the canonical
+    relabeling of a column from the heaviest class and a PartitionTally keyed
+    by each class's first (lowest) column index.  Weight ties go to the class
+    with the lowest representative index.
     """
     cols = omega.omega
     m_prime = omega.n_init
@@ -211,13 +185,7 @@ def majority_partition(omega: LabelMatrix, q: int):
         for j, row in enumerate(canon):
             k = lo + j
             rep = rep_of.setdefault(row.tobytes(), k)
-            if rep == k:
-                members[k] = [k]
-            else:
-                # equal canonical bytes make the columns equivalent; the call
-                # runs the fingerprint cross-check, which raises on disagreement
-                partitions_equivalent(cols[:, rep], cols[:, k], q)
-                members[rep].append(k)
+            members.setdefault(rep, []).append(k)
     weights = {rep: len(group) / m_prime for rep, group in members.items()}
     winner = max(members, key=lambda rep: (weights[rep], -rep))
     tally = PartitionTally(

@@ -30,4 +30,9 @@ class InvalidBlockError(NumericError):
 
 
 class ConsistencyError(NumericError):
-    """Two redundant computation routes disagreed."""
+    """Two redundant computation routes disagreed.
+
+    The library no longer raises it: each result now has one route, and the
+    second routes live in the tests as oracles.  It stays exported so that
+    callers catching it keep working.
+    """

@@ -127,14 +127,8 @@ def two_cluster_outlier_distances(alpha: float, beta: float, gamma: float, h: fl
 
 def _degenerate_groups(energies: np.ndarray, tol: float) -> list:
     """Split an ascending spectrum into groups of numerically equal energies."""
-    groups = []
-    start = 0
-    for n in range(1, energies.size):
-        if energies[n] - energies[n - 1] > tol * max(1.0, abs(energies[n])):
-            groups.append(np.arange(start, n))
-            start = n
-    groups.append(np.arange(start, energies.size))
-    return groups
+    jumps = np.diff(energies) > tol * np.maximum(1.0, np.abs(energies[1:]))
+    return np.split(np.arange(energies.size), np.flatnonzero(jumps) + 1)
 
 
 def transition_kernel(eig: EigenSystem, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:

@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from qtclust import PointSet, eigendecompose, build_graph, partitions_equivalent
+from qtclust import PointSet, eigendecompose, build_graph
 
 
 def random_geometric_graph(seed, m, d=2, eps=None):
@@ -20,12 +23,32 @@ def two_node_eig():
     return eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-def pairwise_grouping(omega_arr, q):
-    """Classes by exhaustive pairwise equivalence, keyed by the first member."""
+def permutation_equivalent(a, b, q):
+    """True iff some permutation of the labels 0..q-1 maps column a onto b."""
+    return any(all(perm[x] == y for x, y in zip(a, b)) for perm in itertools.permutations(range(q)))
+
+
+def fingerprint_equivalent(a, b):
+    """The paper's sqrt-prime fingerprint test of label-renaming equivalence.
+
+    sqrt(2) and sqrt(3) are linearly independent over the rationals, so the
+    fingerprints xi_i = a_i sqrt(2) + b_i sqrt(3) of integer label pairs are
+    distinct exactly when the pairs are.  The columns are equivalent when the
+    number of distinct fingerprints equals the number of labels each uses.
+    """
+    a = np.asarray(a, dtype=int)
+    b = np.asarray(b, dtype=int)
+    xi = np.sort(a * math.sqrt(2.0) + b * math.sqrt(3.0))
+    distinct = 1 + int(np.count_nonzero(np.diff(xi) > 1e-6))
+    return distinct == np.unique(a).size == np.unique(b).size
+
+
+def pairwise_grouping(omega_arr):
+    """Classes by exhaustive pairwise fingerprint equivalence, keyed by the first member."""
     groups = []
     for k in range(omega_arr.shape[1]):
         for g in groups:
-            if partitions_equivalent(omega_arr[:, g[0]], omega_arr[:, k], q):
+            if fingerprint_equivalent(omega_arr[:, g[0]], omega_arr[:, k]):
                 g.append(k)
                 break
         else:

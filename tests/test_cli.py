@@ -123,6 +123,20 @@ def test_kernel_cmd(tmp_path, clouds_csv):
     assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
 
 
+def test_kernel_s_zero_exits_2(tmp_path, clouds_csv, capsys):
+    argv = ["kernel", "--input", str(clouds_csv), "--eps", "0.1", "--kind", "S", "--s", "0", "--out", str(tmp_path / "k")]
+    assert main(argv) == 2
+    assert "s must be a positive finite number" in capsys.readouterr().err
+
+
+def test_consensus_rejects_summary_option(tmp_path, clouds_csv):
+    argv = ["consensus", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--summary", "majority"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c").exists()
+
+
 def test_consensus_cmd(tmp_path, clouds_csv):
     out = tmp_path / "c"
     assert main(["consensus", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--out", str(out)]) == 0

@@ -1,11 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from qtclust import ensemble
 from qtclust import (
-    ConsistencyError,
     LabelMatrix,
     ParameterError,
     canonical_relabel,
@@ -21,14 +18,7 @@ from qtclust import (
     build_graph,
 )
 
-from conftest import pairwise_grouping
-
-
-def brute_force_equivalent(a, b, q):
-    for perm in itertools.permutations(range(q)):
-        if all(perm[x] == y for x, y in zip(a, b)):
-            return True
-    return False
+from conftest import pairwise_grouping, permutation_equivalent
 
 
 def test_equivalent_simple_cases():
@@ -47,7 +37,7 @@ def test_equivalent_matches_permutation_oracle():
             b = perm[a]
         else:
             b = rng.integers(0, q, size=m)
-        assert partitions_equivalent(a, b, q) == brute_force_equivalent(a.tolist(), b.tolist(), q)
+        assert partitions_equivalent(a, b, q) == permutation_equivalent(a.tolist(), b.tolist(), q)
 
 
 def test_equivalent_is_equivalence_relation():
@@ -145,17 +135,7 @@ def test_majority_matches_pairwise_grouping_oracle():
         omega_arr = rng.integers(0, q, size=(m, m_prime))
         omega = LabelMatrix(omega=omega_arr, init_nodes=np.arange(m_prime))
         _, tally = majority_partition(omega, q)
-        # oracle: group columns by exhaustive pairwise equivalence
-        groups = []
-        for k in range(m_prime):
-            for g in groups:
-                if partitions_equivalent(omega_arr[:, g[0]], omega_arr[:, k], q):
-                    g.append(k)
-                    break
-            else:
-                groups.append([k])
-        expected = {g[0]: tuple(g) for g in groups}
-        assert tally.classes == expected
+        assert tally.classes == pairwise_grouping(omega_arr)
 
 
 def test_run_qtc_uses_every_node_when_m_prime_is_m():
@@ -210,17 +190,6 @@ def consensus_oracle(omega_arr):
     return oracle
 
 
-def test_fingerprint_disagreement_raises_through_majority(monkeypatch):
-    # a tolerance wider than every fingerprint gap merges all fingerprints, so
-    # the float route sees one class where the exact route sees two labels
-    monkeypatch.setattr(ensemble, "_XI_TOL", 100.0)
-    with pytest.raises(ConsistencyError):
-        partitions_equivalent([0, 1, 1], [1, 0, 0], 2)
-    omega = LabelMatrix(omega=np.array([[0, 1, 0], [1, 0, 0]]), init_nodes=np.arange(3))
-    with pytest.raises(ConsistencyError):
-        majority_partition(omega, 2)
-
-
 def test_majority_rejects_labels_outside_range():
     for bad in ([[0, 1], [2, 0]], [[0, -1], [1, 0]], [[2], [0]]):
         arr = np.array(bad)
@@ -252,7 +221,7 @@ def test_ensemble_blocks_do_not_change_results(monkeypatch, columns_per_block):
     labels, tally = majority_partition(omega, 10)
     assert np.array_equal(labels, ref_labels)
     assert tally == ref_tally
-    assert tally.classes == pairwise_grouping(omega_arr, 10)
+    assert tally.classes == pairwise_grouping(omega_arr)
     assert np.array_equal(consensus_matrix(omega), ref_consensus)
     assert np.array_equal(ref_consensus, consensus_oracle(omega_arr))
 

@@ -1,4 +1,4 @@
-"""Property tests of the ensemble's relabeling and hashed majority vote."""
+"""Property tests of the ensemble's relabeling, equivalence rule and hashed majority vote."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtclust import LabelMatrix, canonical_relabel, majority_partition
+from qtclust import LabelMatrix, canonical_relabel, majority_partition, partitions_equivalent
 
-from conftest import pairwise_grouping
+from conftest import fingerprint_equivalent, pairwise_grouping, permutation_equivalent
 
 
 @settings(max_examples=300, deadline=None)
@@ -32,8 +32,28 @@ def test_majority_hashed_grouping_matches_pairwise_property(data):
     flat = data.draw(st.lists(st.integers(0, q - 1), min_size=m * m_prime, max_size=m * m_prime))
     omega_arr = np.array(flat, dtype=int).reshape(m, m_prime)
     labels, tally = majority_partition(LabelMatrix(omega=omega_arr, init_nodes=np.arange(m_prime)), q)
-    classes = pairwise_grouping(omega_arr, q)
+    classes = pairwise_grouping(omega_arr)
     assert tally.classes == classes
     assert tally.weights == {rep: len(g) / m_prime for rep, g in classes.items()}
     winner = max(classes, key=lambda rep: (len(classes[rep]), -rep))
     assert np.array_equal(labels, canonical_relabel(omega_arr[:, winner]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_equivalence_rule_matches_fingerprint_and_permutation_oracles(data):
+    q = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 12))
+    # each column draws from its own subset of [0, q), so unused labels are common
+    column = st.lists(st.integers(0, q - 1), min_size=1, unique=True).flatmap(
+        lambda used: st.lists(st.sampled_from(used), min_size=m, max_size=m)
+    )
+    a = data.draw(column)
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(q)))
+        b = [perm[x] for x in a]
+    else:
+        b = data.draw(column)
+    expected = permutation_equivalent(a, b, q)
+    assert partitions_equivalent(a, b, q) == expected
+    assert fingerprint_equivalent(a, b) == expected

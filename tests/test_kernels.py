@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qtclust import kernels
 from qtclust import (
     NumericError,
     ParameterError,
@@ -143,6 +144,44 @@ def test_transition_kernel_two_node(two_node_eig):
 def test_transition_kernel_single_node():
     eig = eigendecompose(np.array([[0.0]]))
     assert np.array_equal(transition_kernel(eig), [[1.0]])
+
+
+def degenerate_groups_oracle(energies, tol):
+    """The per-step loop that splits a sorted spectrum at gaps above tol * max(1, |E|)."""
+    groups = []
+    start = 0
+    for n in range(1, energies.size):
+        if energies[n] - energies[n - 1] > tol * max(1.0, abs(energies[n])):
+            groups.append(np.arange(start, n))
+            start = n
+    groups.append(np.arange(start, energies.size))
+    return groups
+
+
+@pytest.mark.parametrize(
+    "energies",
+    [
+        [0.5],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0, 1.0, 2.0],  # exact ties
+        [0.0, 0.5e-9, 2e-9, 3e-9, 3.5e-9, 5e-9],  # gaps of 0.5e-9 and 1.5e-9 straddle tol = 1e-9
+        [-3.0, -3.0 + 2e-9, -3.0 + 4e-9, 4.0, 4.0 + 3e-9, 4.0 + 5e-9, 4.0 + 1e-8],  # |E| > 1 widens the tolerance
+    ],
+)
+def test_degenerate_groups_match_loop_oracle(energies):
+    e = np.array(energies)
+    groups = kernels._degenerate_groups(e, 1e-9)
+    expected = degenerate_groups_oracle(e, 1e-9)
+    assert [g.tolist() for g in groups] == [g.tolist() for g in expected]
+
+
+def test_degenerate_groups_match_loop_oracle_on_random_spectra():
+    for seed in range(5):
+        _, eig = random_geometric_graph(seed + 60, 30)
+        for tol in (1e-9, 1e-2, 1e-1):
+            groups = kernels._degenerate_groups(eig.energies, tol)
+            expected = degenerate_groups_oracle(eig.energies, tol)
+            assert [g.tolist() for g in groups] == [g.tolist() for g in expected]
 
 
 def test_transition_kernel_degenerate_blocks():
