@@ -31,6 +31,8 @@ class LabelMatrix:
         init = np.asarray(self.init_nodes, dtype=int)
         if om.ndim != 2 or init.shape != (om.shape[1],):
             raise ParameterError("omega must be m x m' with one init node per column")
+        if om.size == 0:
+            raise ParameterError("omega must have at least one node and one column")
         if np.unique(init).size != init.size:
             raise ParameterError("init nodes must be distinct")
         object.__setattr__(self, "omega", _readonly(om))
@@ -117,6 +119,8 @@ def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
     b = np.asarray(col_b, dtype=int)
     if a.ndim != 1 or a.shape != b.shape:
         raise ParameterError("label vectors must be one-dimensional and equally long")
+    if a.size == 0:
+        raise ParameterError("label vectors must not be empty")
     if q < 1 or min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= q:
         raise ParameterError(f"labels must lie in [0, {q})")
     canon = _canonical_rows(np.stack([a, b]))

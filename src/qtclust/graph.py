@@ -81,7 +81,7 @@ def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
     m, d = x.shape
     out = np.empty((m, m))
     # chunk rows so the (rows, m, d) scratch block stays small
-    step = max(1, (16 << 20) // max(1, 8 * m * d))
+    step = max(1, (1 << 20) // max(1, 8 * m * d))
     for lo in range(0, m, step):
         diff = x[lo : lo + step, None, :] - x[None, :, :]
         out[lo : lo + step] = np.sqrt((diff * diff).sum(axis=-1))

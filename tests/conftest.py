@@ -76,3 +76,68 @@ def matrix_csv_oracle(matrix):
     """The bytes of a matrix CSV, formatted one entry at a time."""
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in arr).encode()
+
+
+def kmeans_oracle(points, k, seed, n_restarts=10, max_iter=300, tol=1e-6):
+    """k-means restarts run one after another: the reference for ``labeling.kmeans``.
+
+    Each restart draws its k-means++ seeding and runs its own Lloyd loop;
+    the first restart with the lowest final WCSS wins.
+    """
+    x = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    best_labels = None
+    best_wcss = np.inf
+    for _ in range(n_restarts):
+        centers = kmeans_pp_oracle(x, k, rng)
+        labels, _, history = lloyd_oracle(x, centers, max_iter, tol)
+        if history[-1] < best_wcss:
+            best_wcss = history[-1]
+            best_labels = labels
+    return best_labels
+
+
+def kmeans_pp_oracle(x, k, rng):
+    """k-means++ seeding of one restart."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def lloyd_oracle(x, centers, max_iter, tol):
+    """Lloyd iterations of one restart; returns (labels, centers, per-iteration WCSS)."""
+    k = centers.shape[0]
+    centers = centers.copy()
+    history = []
+    labels = np.zeros(x.shape[0], dtype=int)
+    for _ in range(max_iter):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        for c in range(k):
+            if not (labels == c).any():
+                assigned = d2[np.arange(x.shape[0]), labels]
+                far = int(assigned.argmax())
+                centers[c] = x[far]
+                d2[:, c] = ((x - centers[c]) ** 2).sum(axis=1)
+                labels = d2.argmin(axis=1)
+        history.append(float(d2[np.arange(x.shape[0]), labels].sum()))
+        new_centers = centers.copy()
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                new_centers[c] = x[members].mean(axis=0)
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift <= tol:
+            break
+    return labels, centers, history

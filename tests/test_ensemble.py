@@ -59,6 +59,23 @@ def test_equivalent_validation():
         partitions_equivalent([0, 3], [0, 1], 2)
 
 
+def test_equivalent_rejects_empty_columns():
+    with pytest.raises(ParameterError):
+        partitions_equivalent([], [], 2)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+def test_majority_rejects_empty_label_matrix(shape):
+    with pytest.raises(ParameterError):
+        majority_partition(LabelMatrix(omega=np.zeros(shape, dtype=int), init_nodes=np.arange(shape[1])), 2)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+def test_consensus_rejects_empty_label_matrix(shape):
+    with pytest.raises(ParameterError):
+        consensus_matrix(LabelMatrix(omega=np.zeros(shape, dtype=int), init_nodes=np.arange(shape[1])))
+
+
 def test_canonical_relabel_first_occurrence():
     assert np.array_equal(canonical_relabel([2, 2, 0, 1, 0]), [0, 0, 1, 2, 1])
 

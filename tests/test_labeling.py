@@ -9,7 +9,10 @@ from qtclust import (
     labels_circle_clustering,
     labels_direct_difference,
 )
+from qtclust import labeling
 from qtclust.labeling import _lloyd
+
+from conftest import kmeans_oracle
 
 
 def test_direct_difference_hand_case():
@@ -115,7 +118,8 @@ def test_kmeans_wcss_non_increasing():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(60, 2))
     centers = pts[rng.choice(60, size=4, replace=False)]
-    _, _, history = _lloyd(pts, centers, max_iter=50, tol=0.0)
+    # a run cut after t iterations reports the WCSS of iteration t
+    history = [_lloyd(pts, centers[None], max_iter=t, tol=0.0)[1][0] for t in range(1, 51)]
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 
@@ -123,8 +127,26 @@ def test_kmeans_empty_cluster_reseed():
     pts = np.array([[0.0, 0.0], [0.1, 0.1], [0.2, 0.0], [9.0, 9.0]])
     # one centroid far away from every point starts empty
     centers = np.array([[0.1, 0.05], [100.0, 100.0]])
-    labels, _, _ = _lloyd(pts, centers, max_iter=20, tol=0.0)
-    assert set(labels.tolist()) == {0, 1}
+    labels, _ = _lloyd(pts, centers[None], max_iter=20, tol=0.0)
+    assert set(labels[0].tolist()) == {0, 1}
+
+
+def test_circle_clustering_matches_sequential_restarts():
+    rng = np.random.default_rng(6)
+    for seed in range(4):
+        phases = np.concatenate([c + 0.4 * rng.standard_normal(100) for c in (-2.0, 0.5, 2.5)])
+        circle = np.column_stack([np.cos(phases), np.sin(phases)])
+        expected = kmeans_oracle(circle, 3, seed)
+        assert np.array_equal(labels_circle_clustering(phases, 3, seed), expected)
+
+
+def test_kmeans_restart_batches_do_not_change_labels(monkeypatch):
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(80, 2))
+    expected = kmeans_oracle(pts, 4, 3)
+    for budget in (1, 8 * 4 * 80 * 3):  # one restart per batch, three per batch
+        monkeypatch.setattr(labeling, "_BATCH_BYTES", budget)
+        assert np.array_equal(kmeans(pts, 4, seed=3), expected)
 
 
 def test_kmeans_deterministic_given_seed():
@@ -138,3 +160,7 @@ def test_kmeans_validation():
         kmeans(np.zeros((3, 2)), 4, seed=0)
     with pytest.raises(ParameterError):
         kmeans(np.zeros((3, 2)), 0, seed=0)
+    with pytest.raises(ParameterError):
+        kmeans(np.zeros((3, 2)), 2, seed=0, n_restarts=0)
+    with pytest.raises(ParameterError):
+        kmeans(np.array([[0.0, 1.0], [np.nan, 0.0]]), 2, seed=0)
