@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -21,7 +20,6 @@ from .datasets import (
 )
 from .ensemble import LABEL_METHODS
 from .errors import InputError, NumericError, ParameterError
-from .graph import PointSet
 from .kernels import NORMALIZATIONS, jsd_matrix, laplace_similarity, spectral_cluster, transition_kernel
 from .pipeline import SUMMARIES, build_graph, qtc
 from .spectral import eigendecompose, gap_stats
@@ -58,21 +56,23 @@ def _write_run_json(out: Path, args, derived: dict) -> None:
     _write_json(out / "run.json", {"command": args.command, "config": resolved, "derived": derived})
 
 
-def _load_points(args) -> PointSet:
-    if not getattr(args, "input", None):
-        raise ParameterError("--input is required")
-    return io.load_points_csv(args.input)
-
-
 def _graph_eig(args):
     """The input points, their similarity graph and its eigensystem."""
-    points = _load_points(args)
+    points = io.load_points_csv(args.input)
     graph = build_graph(points, args.eps)
     return points, graph, eigendecompose(graph.hamiltonian)
 
 
 def _laplace_params(args) -> LaplaceParams:
     return LaplaceParams(rule=args.s_rule, multiplier=args.s_mult)
+
+
+def _seed(text: str) -> int:
+    """A seed for numpy's generators, which take only non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _parse_floats(text: str, option: str, kind=float) -> list:
@@ -91,7 +91,10 @@ def _parse_counts(text: str, option: str):
 
 
 def _parse_centers(text: str) -> list[list[float]]:
-    return [_parse_floats(part, "--centers") for part in text.split(";") if part.strip()]
+    centers = [_parse_floats(part, "--centers") for part in text.split(";") if part.strip()]
+    if len({len(c) for c in centers}) > 1:
+        raise ParameterError(f"--centers expects coordinate tuples of one length, got {text!r}")
+    return centers
 
 
 def cmd_gen(args) -> None:
@@ -120,7 +123,7 @@ def cmd_gen(args) -> None:
             counts = _parse_counts(args.counts, "--counts")
         points = gen_annuli(radii, args.width, counts, args.seed)
     elif kind == "tetrahedron":
-        points = gen_tetrahedron(q=args.q or 4, sigma=args.sigma, n_per=n_per, seed=args.seed)
+        points = gen_tetrahedron(q=args.q, sigma=args.sigma, n_per=n_per, seed=args.seed)
     else:  # argparse choices already guard this
         raise ParameterError(f"unknown generator kind {kind!r}")
     target = Path(args.out)
@@ -157,24 +160,17 @@ def cmd_phases(args) -> None:
     s = select_s(gaps, _laplace_params(args))
     wave = laplace_wavefunction(eig, args.init_node, s)
     path = out / "phases.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", "phase", "amplitude_re", "amplitude_im"])
-        for i in range(eig.size):
-            writer.writerow(
-                [
-                    i,
-                    "%.17g" % wave.phases[i],
-                    "%.17g" % wave.amplitudes[i].real,
-                    "%.17g" % wave.amplitudes[i].imag,
-                ]
-            )
+    io.save_table_csv(
+        path,
+        ["node_index", "phase", "amplitude_re", "amplitude_im"],
+        [np.arange(eig.size), wave.phases, wave.amplitudes.real, wave.amplitudes.imag],
+    )
     _write_run_json(out, args, {"s": s, "r_eps": graph.proximity})
     print(f"wrote {path}")
 
 
 def _run_ensemble(args):
-    points = _load_points(args)
+    points = io.load_points_csv(args.input)
     result = qtc(
         points,
         args.eps,
@@ -238,8 +234,7 @@ def cmd_kernel(args) -> None:
     if args.kind == "P":
         matrix = transition_kernel(eig)
     elif args.kind == "S":
-        s = args.s if args.s is not None else select_s(gap_stats(eig, 2), _laplace_params(args))
-        matrix = laplace_similarity(eig, s)
+        matrix = laplace_similarity(eig, select_s(gap_stats(eig, 2), _laplace_params(args)))
     else:
         matrix = jsd_matrix(eig)
     path = out / f"kernel_{args.kind}.csv"
@@ -248,100 +243,113 @@ def cmd_kernel(args) -> None:
     print(f"wrote {path}")
 
 
-def cmd_experiment(args) -> None:
-    out = _out_dir(args)
-    if args.name == "two-cloud":
-        result = experiments.two_cloud_experiment(
-            seed=args.seed,
-            sigma=args.sigma,
-            ell_over_sigma=args.ell_sigma,
-            n_per=_parse_counts(args.n_per, "--n-per"),
-            partition=args.partition,
-        )
-        payload = {
-            "s": result["s"],
-            "r_eps": result["r_eps"],
-            "init_node": result["init_node"],
-            "empirical_phases": result["empirical_phases"],
-            "exact_theory": result["exact_theory"],
-            "born_1": result["born_phases"][1],
-            "born_2": result["born_phases"][2],
-            "born_3": result["born_phases"][3],
-            "born_errors": {str(k): v for k, v in result["born_errors"].items()},
-            "max_phase_error": result["max_phase_error"],
-        }
-        _write_json(out / "two_cloud.json", payload)
-        derived = {"s": result["s"], "init_node": result["init_node"]}
-    elif args.name == "outlier-sweep":
-        rows = experiments.outlier_sweep(seed=args.seed, sigma=args.sigma, ell=args.ell, eps=args.eps or 0.11)
-        path = out / "outlier_sweep.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha_out", "phase_left_mean", "phase_right_mean", "phase_outlier"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        "%.17g" % row["alpha_out"],
-                        "%.17g" % row["phase_left_mean"],
-                        "%.17g" % row["phase_right_mean"],
-                        "%.17g" % row["phase_outlier"],
-                    ]
-                )
-        derived = {"n_alphas": len(rows)}
-    elif args.name == "spectrum-count":
-        n_per = _parse_counts(args.n_per, "--n-per")
-        result = experiments.spectrum_count_experiment(seed=args.seed, sigma=args.sigma, eps=args.eps or 0.1, n_per=n_per)
-        _write_json(out / "spectrum_count.json", {"counts": {str(k): v for k, v in result.items()}})
-        derived = {"low_counts": {str(k): v["low_count"] for k, v in result.items()}}
-    else:  # eps-sweep
-        points = _load_points(args)
-        if args.eps_grid is None:
-            raise ParameterError("--eps-grid is required for eps-sweep")
-        rows = experiments.eps_sweep(
-            points,
-            args.q,
-            _parse_floats(args.eps_grid, "--eps-grid"),
-            seed=args.seed,
-            laplace=_laplace_params(args),
-            m_prime=args.m_prime,
-            label_method=args.label_method,
-        )
-        path = out / "eps_sweep.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "ari_qtc", "ari_spectral"])
-            for row in rows:
-                writer.writerow(["%.17g" % row["eps"], "%.17g" % row["ari_qtc"], "%.17g" % row["ari_spectral"]])
-        derived = {"n_eps": len(rows)}
+def _experiment_done(out: Path, args, derived: dict) -> None:
     _write_run_json(out, args, derived)
     print(f"experiment {args.name} artifacts in {out}")
 
 
+def cmd_two_cloud(args) -> None:
+    out = _out_dir(args)
+    result = experiments.two_cloud_experiment(
+        seed=args.seed,
+        sigma=args.sigma,
+        ell_over_sigma=args.ell_sigma,
+        n_per=_parse_counts(args.n_per, "--n-per"),
+        partition=args.partition,
+    )
+    payload = {
+        "s": result["s"],
+        "r_eps": result["r_eps"],
+        "init_node": result["init_node"],
+        "empirical_phases": result["empirical_phases"],
+        "exact_theory": result["exact_theory"],
+        "born_1": result["born_phases"][1],
+        "born_2": result["born_phases"][2],
+        "born_3": result["born_phases"][3],
+        "born_errors": {str(k): v for k, v in result["born_errors"].items()},
+        "max_phase_error": result["max_phase_error"],
+    }
+    _write_json(out / "two_cloud.json", payload)
+    _experiment_done(out, args, {"s": result["s"], "init_node": result["init_node"]})
+
+
+def cmd_outlier_sweep(args) -> None:
+    out = _out_dir(args)
+    rows = experiments.outlier_sweep(seed=args.seed, sigma=args.sigma, ell=args.ell, eps=args.eps)
+    keys = ["alpha_out", "phase_left_mean", "phase_right_mean", "phase_outlier"]
+    io.save_table_csv(out / "outlier_sweep.csv", keys, [[row[k] for row in rows] for k in keys])
+    _experiment_done(out, args, {"n_alphas": len(rows)})
+
+
+def cmd_spectrum_count(args) -> None:
+    out = _out_dir(args)
+    n_per = _parse_counts(args.n_per, "--n-per")
+    result = experiments.spectrum_count_experiment(seed=args.seed, sigma=args.sigma, eps=args.eps, n_per=n_per)
+    _write_json(out / "spectrum_count.json", {"counts": {str(k): v for k, v in result.items()}})
+    _experiment_done(out, args, {"low_counts": {str(k): v["low_count"] for k, v in result.items()}})
+
+
+def cmd_eps_sweep(args) -> None:
+    out = _out_dir(args)
+    rows = experiments.eps_sweep(
+        io.load_points_csv(args.input),
+        args.q,
+        _parse_floats(args.eps_grid, "--eps-grid"),
+        seed=args.seed,
+        laplace=_laplace_params(args),
+        m_prime=args.m_prime,
+        label_method=args.label_method,
+    )
+    keys = ["eps", "ari_qtc", "ari_spectral"]
+    io.save_table_csv(out / "eps_sweep.csv", keys, [[row[k] for row in rows] for k in keys])
+    _experiment_done(out, args, {"n_eps": len(rows)})
+
+
+# Options that several commands read, each declared here once.  A command that gives one of
+# them its own default (``_command``'s keyword arguments) makes it optional there.
+_SHARED_OPTIONS = {
+    "--seed": {"type": _seed, "default": 0},
+    "--out": {"default": "qtclust-out", "help": "output directory"},
+    "--input": {"required": True, "help": "points CSV"},
+    "--eps": {"type": float, "required": True, "help": "quantile fraction for the bandwidth"},
+    "--q": {"type": int, "required": True, "help": "number of clusters"},
+    "--s-rule": {"choices": S_RULES, "default": LaplaceParams.rule},
+    "--s-mult": {"type": float, "default": LaplaceParams.multiplier},
+    "--m-prime": {"type": int, "default": None},
+    "--label-method": {"choices": LABEL_METHODS, "default": "circle"},
+    "--sigma": {"type": float, "default": 0.1},
+    "--n-per": {"default": "100", "help": "points per component (int or comma list)"},
+}
+
+
+def _command(subparsers, name: str, func, help_text: str, flags, **defaults) -> argparse.ArgumentParser:
+    """A sub-command that declares the shared options in ``flags`` and no others.
+
+    Abbreviations are off, so an option the command does not declare exits 2
+    instead of being taken for a longer one (``--eps`` for ``--eps-grid``).
+    """
+    p = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
+    for flag in flags:
+        spec = dict(_SHARED_OPTIONS[flag])
+        dest = flag[2:].replace("-", "_")
+        if dest in defaults:
+            spec.update(default=defaults[dest], required=False)
+        p.add_argument(flag, **spec)
+    p.set_defaults(func=func)
+    return p
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qtclust", description=__doc__)
+    parser = argparse.ArgumentParser(prog="qtclust", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = ("--input", "--eps", "--out")
+    s_options = ("--s-rule", "--s-mult")
+    label_options = ("--m-prime", "--label-method")
 
-    def add_common(p, input_required=True):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="qtclust-out", help="output directory")
-        p.add_argument("--eps", type=float, default=None, help="quantile fraction for the bandwidth")
-        p.add_argument("--input", required=input_required, default=None)
-
-    def add_s_options(p):
-        p.add_argument("--s-rule", choices=S_RULES, default=LaplaceParams.rule)
-        p.add_argument("--s-mult", type=float, default=LaplaceParams.multiplier)
-
-    def add_label_options(p):
-        p.add_argument("--m-prime", type=int, default=None)
-        p.add_argument("--label-method", choices=LABEL_METHODS, default="circle")
-
-    gen = sub.add_parser("gen", help="generate a synthetic point set")
+    gen = _command(sub, "gen", cmd_gen, "generate a synthetic point set", ("--seed", "--sigma", "--n-per", "--q"), q=4)
     gen.add_argument("--kind", required=True, choices=("gaussian-clouds", "sticks-uniform", "sticks-nonuniform", "annuli", "tetrahedron"))
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="points.csv", help="points CSV path or output directory")
     gen.add_argument("--centers", default=None, help="semicolon-separated coordinate tuples, e.g. '0,0;1,0'")
-    gen.add_argument("--sigma", type=float, default=0.1)
-    gen.add_argument("--n-per", default="100", help="points per component (int or comma list)")
     gen.add_argument("--n-sticks", type=int, default=3)
     gen.add_argument("--length", type=float, default=1.0)
     gen.add_argument("--gap", type=float, default=0.2)
@@ -350,61 +358,36 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=float, default=0.1)
     gen.add_argument("--counts", default=None, help="per-ring counts (comma list); default scales with radius")
     gen.add_argument("--base-count", type=int, default=40)
-    gen.add_argument("--q", type=int, default=None)
-    gen.set_defaults(func=cmd_gen)
 
-    eigen = sub.add_parser("eigen", help="spectrum and gap diagnostics")
-    add_common(eigen)
-    eigen.add_argument("--q", type=int, default=None)
-    eigen.set_defaults(func=cmd_eigen)
-
-    phases = sub.add_parser("phases", help="phase field of one initialization")
-    add_common(phases)
+    _command(sub, "eigen", cmd_eigen, "spectrum and gap diagnostics", graph + ("--q",), q=None)
+    phases = _command(sub, "phases", cmd_phases, "phase field of one start node", graph + ("--q",) + s_options, q=None)
     phases.add_argument("--init-node", type=int, required=True)
-    phases.add_argument("--q", type=int, default=None)
-    add_s_options(phases)
-    phases.set_defaults(func=cmd_phases)
-
-    for name, func, help_text in (
-        ("cluster", cmd_cluster, "full transport clustering run"),
-        ("consensus", cmd_consensus, "co-clustering frequency matrix"),
-    ):
-        ensemble = sub.add_parser(name, help=help_text)
-        add_common(ensemble)
-        ensemble.add_argument("--q", type=int, required=True, help="number of clusters")
-        add_s_options(ensemble)
-        add_label_options(ensemble)
-        if name == "cluster":
-            ensemble.add_argument("--summary", choices=SUMMARIES, default="both")
-        ensemble.set_defaults(func=func)
-
-    spectral = sub.add_parser("spectral", help="spectral clustering baseline")
-    add_common(spectral)
-    spectral.add_argument("--q", type=int, required=True)
+    ensemble = graph + ("--seed", "--q") + s_options + label_options
+    cluster = _command(sub, "cluster", cmd_cluster, "full transport clustering run", ensemble)
+    cluster.add_argument("--summary", choices=SUMMARIES, default="both")
+    _command(sub, "consensus", cmd_consensus, "co-clustering frequency matrix", ensemble)
+    spectral = _command(sub, "spectral", cmd_spectral, "spectral clustering baseline", graph + ("--seed", "--q"))
     spectral.add_argument("--normalization", choices=NORMALIZATIONS, default="approach1")
-    spectral.set_defaults(func=cmd_spectral)
-
-    kernel = sub.add_parser("kernel", help="quantum similarity kernel matrices")
-    add_common(kernel)
+    kernel = _command(sub, "kernel", cmd_kernel, "quantum similarity kernel matrices", graph + s_options)
     kernel.add_argument("--kind", required=True, choices=("P", "S", "jsd"))
-    kernel.add_argument("--s", type=float, default=None)
-    add_s_options(kernel)
-    kernel.set_defaults(func=cmd_kernel)
 
-    experiment = sub.add_parser("experiment", help="reproducible validation experiments")
-    experiment.add_argument("name", choices=("two-cloud", "outlier-sweep", "spectrum-count", "eps-sweep"))
-    add_common(experiment, input_required=False)
-    experiment.add_argument("--sigma", type=float, default=0.1)
-    experiment.add_argument("--ell", type=float, default=0.4)
-    experiment.add_argument("--ell-sigma", type=float, default=3.0)
-    experiment.add_argument("--n-per", default="100")
-    experiment.add_argument("--partition", choices=("truth", "qtc"), default="truth")
-    experiment.add_argument("--q", type=int, default=3)
-    experiment.add_argument("--eps-grid", default=None, help="comma-separated quantile fractions")
-    add_s_options(experiment)
-    add_label_options(experiment)
-    experiment.set_defaults(func=cmd_experiment)
-
+    experiment = sub.add_parser("experiment", help="reproducible validation experiments", allow_abbrev=False)
+    named = experiment.add_subparsers(dest="name", required=True)
+    seeded = ("--seed", "--out")
+    two_cloud = _command(
+        named, "two-cloud", cmd_two_cloud, "two-cloud phases against theory", seeded + ("--sigma", "--n-per")
+    )
+    two_cloud.add_argument("--ell-sigma", type=float, default=3.0)
+    two_cloud.add_argument("--partition", choices=("truth", "qtc"), default="truth")
+    outlier = _command(
+        named, "outlier-sweep", cmd_outlier_sweep, "phase of a moving outlier", seeded + ("--sigma", "--eps"), eps=0.11
+    )
+    outlier.add_argument("--ell", type=float, default=0.4)
+    spectrum = seeded + ("--sigma", "--eps", "--n-per")
+    _command(named, "spectrum-count", cmd_spectrum_count, "low-energy mode count per cluster count", spectrum, eps=0.1)
+    sweep = seeded + ("--input", "--q") + s_options + label_options
+    eps_sweep = _command(named, "eps-sweep", cmd_eps_sweep, "QTC and spectral ARI across bandwidths", sweep, q=3)
+    eps_sweep.add_argument("--eps-grid", required=True, help="comma-separated quantile fractions")
     return parser
 
 

@@ -94,6 +94,8 @@ def gen_annuli(radii, width: float, counts, seed: int = 0) -> PointSet:
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 1:
         raise ParameterError("radii must be a one-dimensional sequence")
+    if not (np.isfinite(r).all() and np.isfinite(width)):
+        raise ParameterError("radii and width must be finite")
     if not width > 0.0:
         raise ParameterError("width must be positive")
     if r[0] - width / 2.0 <= 0.0:
@@ -146,9 +148,12 @@ def load_timeseries(path) -> tuple[PointSet, list[str]]:
             if not row:
                 continue
             if len(row) != 3:
-                raise InputError(f"malformed time-series row: {row!r}")
+                raise InputError(f"{path}, line {reader.line_num}: malformed time-series row {row!r}")
+            try:
+                prices.append((float(row[1]), float(row[2])))
+            except ValueError:
+                raise InputError(f"{path}, line {reader.line_num}: non-numeric price in {row!r}") from None
             dates.append(row[0])
-            prices.append((float(row[1]), float(row[2])))
     if len(prices) < 2:
         raise InputError("need at least two rows of prices")
     arr = np.asarray(prices, dtype=float)

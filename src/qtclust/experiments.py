@@ -14,6 +14,16 @@ from .spectral import eigendecompose, gap_stats
 from .theory import born_expansion, cluster_orbitals, predicted_phases, resolvent_exact, tight_binding
 from .transport import LaplaceParams, laplace_wavefunction, select_s
 
+# both phase experiments damp at 1.2 times the first spectral gap
+FIRST_GAP_S = LaplaceParams(rule="first_gap", multiplier=1.2)
+# the share of lowest-amplitude nodes left out of the two-cloud phase error
+DROP_FRACTION = 0.05
+# outlier positions alpha and points per cloud of the outlier sweep
+OUTLIER_ALPHAS = tuple(np.linspace(0.0, 1.0, 21).tolist())
+OUTLIER_N_PER = 50
+# cluster counts of the spectrum-count experiment
+CLUSTER_COUNTS = (2, 3, 4)
+
 
 def circular_difference(a, b):
     """Signed phase difference wrapped into (-pi, pi]."""
@@ -26,17 +36,15 @@ def two_cloud_experiment(
     sigma: float = 0.1,
     ell_over_sigma: float = 3.0,
     n_per: int = 100,
-    s_multiplier: float = 1.2,
-    r_eps: float | None = None,
     partition: str = "truth",
-    drop_fraction: float = 0.05,
 ) -> dict:
     """Transport phases of two Gaussian clouds against the projected-resolvent theory.
 
-    Builds the two-cloud set at separation ``ell_over_sigma * sigma``, starts
-    transport at the node nearest the left center, and compares every node's
-    phase with the prediction for its cluster.  The ``drop_fraction`` of
-    nodes with the smallest amplitudes is excluded from the error statistic.
+    Builds the two-cloud set at separation ``ell_over_sigma * sigma`` with
+    bandwidth ``sigma``, starts transport at the node nearest the left
+    center, and compares every node's phase with the prediction for its
+    cluster.  The ``DROP_FRACTION`` of nodes with the smallest amplitudes is
+    excluded from the error statistic.
     Also reports how fast the tunneling expansion approaches the exact
     resolvent.
     """
@@ -44,11 +52,10 @@ def two_cloud_experiment(
         raise ParameterError(f"partition must be 'truth' or 'qtc', got {partition!r}")
     ell = ell_over_sigma * sigma
     points = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, n_per, seed)
-    bandwidth = sigma if r_eps is None else r_eps
-    graph = build_graph(points, r_eps=bandwidth)
+    graph = build_graph(points, r_eps=sigma)
     eig = eigendecompose(graph.hamiltonian)
     gaps = gap_stats(eig, 2)
-    s = select_s(gaps, LaplaceParams(rule="first_gap", multiplier=s_multiplier))
+    s = select_s(gaps, FIRST_GAP_S)
 
     init_node = int(np.argmin(np.linalg.norm(points.points - [-ell, 0.0], axis=1)))
     wave = laplace_wavefunction(eig, init_node, s)
@@ -67,13 +74,13 @@ def two_cloud_experiment(
 
     init_cluster = int(part[init_node])
     predicted_per_node = theta[part, init_cluster]
-    n_drop = int(round(drop_fraction * points.m))
+    n_drop = int(round(DROP_FRACTION * points.m))
     keep = np.argsort(np.abs(wave.amplitudes))[n_drop:]
     errors = np.abs(circular_difference(wave.phases[keep], predicted_per_node[keep]))
     return {
         "points": points.points,
         "truth": np.asarray(part),
-        "r_eps": bandwidth,
+        "r_eps": sigma,
         "s": s,
         "first_gap": gaps.first_gap,
         "init_node": init_node,
@@ -91,10 +98,7 @@ def outlier_sweep(
     seed: int = 0,
     sigma: float = 0.1,
     ell: float = 0.4,
-    n_per: int = 50,
     eps: float = 0.11,
-    alphas=None,
-    s_multiplier: float = 1.2,
 ) -> list[dict]:
     """Phase of a single movable point interpolating between two clusters.
 
@@ -105,17 +109,15 @@ def outlier_sweep(
     roughly one cluster width, keeping the inter-cluster gap above the
     zero-mode clamp for every outlier position.
     """
-    if alphas is None:
-        alphas = np.linspace(0.0, 1.0, 21)
-    clouds = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, n_per, seed)
+    clouds = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, OUTLIER_N_PER, seed)
     init_node = int(np.argmin(np.linalg.norm(clouds.points - [-ell, 0.0], axis=1)))
     rows = []
-    for alpha in np.asarray(alphas, dtype=float):
+    for alpha in OUTLIER_ALPHAS:
         coords = np.vstack([clouds.points, [((2.0 * alpha - 1.0) * ell, 0.0)]])
         truth = np.concatenate([clouds.truth, [2]])
         graph = build_graph(PointSet(points=coords, truth=truth), eps)
         eig = eigendecompose(graph.hamiltonian)
-        s = select_s(gap_stats(eig, 2), LaplaceParams(rule="first_gap", multiplier=s_multiplier))
+        s = select_s(gap_stats(eig, 2), FIRST_GAP_S)
         wave = laplace_wavefunction(eig, init_node, s)
         rows.append(
             {
@@ -135,11 +137,10 @@ def spectrum_count_experiment(
     sigma: float = 0.1,
     eps: float = 0.1,
     n_per: int = 100,
-    cluster_counts=(2, 3, 4),
 ) -> dict:
     """Low-energy mode counting on well-separated tetrahedron-vertex clusters."""
     out = {}
-    for q in cluster_counts:
+    for q in CLUSTER_COUNTS:
         graph = build_graph(gen_tetrahedron(q=q, sigma=sigma, n_per=n_per, seed=seed), eps)
         eig = eigendecompose(graph.hamiltonian)
         gaps = gap_stats(eig, q)

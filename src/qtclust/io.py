@@ -24,20 +24,29 @@ _FMT = "%.17g"
 _WRITE_BLOCK = 1 << 11
 
 
+def save_table_csv(path, header, columns) -> None:
+    """A header row, then row i holds entry i of each of the equal-length ``columns``.
+
+    Float columns are written as ``_FMT``, integer columns as plain integers.
+    """
+    cells = [
+        [_FMT % v for v in col.tolist()] if col.dtype.kind == "f" else [str(v) for v in col.tolist()]
+        for col in map(np.asarray, columns)
+    ]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
 def save_points_csv(path, points: PointSet) -> None:
     """Header x0,...,x{d-1}[,label]; one row per sample."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{k}" for k in range(points.dim)]
-        if points.truth is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(points.m):
-            row = [_FMT % v for v in points.points[i]]
-            if points.truth is not None:
-                row.append(str(int(points.truth[i])))
-            writer.writerow(row)
+    header = [f"x{k}" for k in range(points.dim)]
+    columns = list(points.points.T)
+    if points.truth is not None:
+        header.append("label")
+        columns.append(points.truth)
+    save_table_csv(path, header, columns)
 
 
 def load_points_csv(path) -> PointSet:
@@ -129,11 +138,7 @@ def load_matrix_csv(path) -> np.ndarray:
 def save_labels_csv(path, labels) -> None:
     """Header node_index,label; one row per node."""
     lab = np.asarray(labels, dtype=int)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", "label"])
-        for i, value in enumerate(lab):
-            writer.writerow([i, int(value)])
+    save_table_csv(path, ["node_index", "label"], [np.arange(lab.size), lab])
 
 
 def load_labels_csv(path) -> np.ndarray:

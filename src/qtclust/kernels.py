@@ -131,7 +131,7 @@ def _degenerate_groups(energies: np.ndarray, tol: float) -> list:
     return np.split(np.arange(energies.size), np.flatnonzero(jumps) + 1)
 
 
-def transition_kernel(eig: EigenSystem, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+def transition_kernel(eig: EigenSystem) -> np.ndarray:
     """Long-time average of the squared transition amplitude of the walk.
 
     Oscillating cross terms average out except within degenerate energy
@@ -139,7 +139,7 @@ def transition_kernel(eig: EigenSystem, degeneracy_tol: float = DEGENERACY_TOL) 
     one, so each row is the stationary visiting distribution of a walk
     started at that node.
     """
-    groups = _degenerate_groups(eig.energies, degeneracy_tol)
+    groups = _degenerate_groups(eig.energies, DEGENERACY_TOL)
     m = eig.size
     out = np.zeros((m, m))
     singles = [g[0] for g in groups if g.size == 1]
@@ -171,7 +171,7 @@ def laplace_similarity(eig: EigenSystem, s: float) -> np.ndarray:
     return np.minimum(out, 1.0)
 
 
-def jsd_matrix(eig: EigenSystem, degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
+def jsd_matrix(eig: EigenSystem) -> np.ndarray:
     """Jensen-Shannon divergence between time-averaged walk density operators.
 
     The averaged density operator of a walk started at node i is
@@ -180,7 +180,7 @@ def jsd_matrix(eig: EigenSystem, degeneracy_tol: float = DEGENERACY_TOL) -> np.n
     2x2 Gram eigenvalues.  Symmetric, zero diagonal, bounded by ln 2.
     Cost grows cubically with the node count.
     """
-    groups = _degenerate_groups(eig.energies, degeneracy_tol)
+    groups = _degenerate_groups(eig.energies, DEGENERACY_TOL)
     m = eig.size
     mix_entropy = np.zeros((m, m))
     self_entropy = np.zeros(m)

@@ -121,6 +121,8 @@ def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     d2 = _sq_dist(x, centers[0])
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ParameterError("squared distances between the points overflow")
         if total > 0.0:
             idx = rng.choice(n, p=d2 / total)
         else:

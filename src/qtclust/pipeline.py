@@ -51,19 +51,18 @@ def build_graph(
 
 def qtc(
     points: PointSet,
-    eps: float | None,
+    eps: float,
     q: int,
     laplace: LaplaceParams = LaplaceParams(),
     m_prime: int | None = None,
     label_method: str = "circle",
     seed: int = 0,
     summary: str = "both",
-    r_eps: float | None = None,
 ) -> QTCResult:
     """Full quantum transport clustering of a point set."""
     if summary not in SUMMARIES:
         raise ParameterError(f"summary must be one of {SUMMARIES}, got {summary!r}")
-    graph = build_graph(points, eps, r_eps)
+    graph = build_graph(points, eps)
     eig = eigendecompose(graph.hamiltonian)
     gaps = gap_stats(eig, max(q, 2))
     s = select_s(gaps, laplace)

@@ -11,6 +11,8 @@ from .graph import _readonly
 
 # eigenvalues this close to zero are the analytic zero modes of a connected graph
 CLAMP_TOL = 1e-10
+# a spectral jump by this factor separates collective cluster modes from intra-cluster excitations
+GAP_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class GapReport:
     low_count: int
 
 
-def eigendecompose(matrix: np.ndarray, clamp_tol: float = CLAMP_TOL) -> EigenSystem:
+def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     """Full dense decomposition of a symmetric matrix.
 
     The matrix goes to ``np.linalg.eigh`` as it is, and eigh reads only its
@@ -62,7 +64,7 @@ def eigendecompose(matrix: np.ndarray, clamp_tol: float = CLAMP_TOL) -> EigenSys
     exactly symmetric input (every ``GraphBundle.hamiltonian``) this is the
     decomposition of ``(H + H^T) / 2`` bit for bit, without that m x m copy.
 
-    Eigenvalues within ``clamp_tol`` of zero are snapped to exactly zero: for
+    Eigenvalues within ``CLAMP_TOL`` of zero are snapped to exactly zero: for
     a connected similarity graph the ground energy is zero analytically, and
     downstream gap ratios should not see rounding noise there.
     """
@@ -78,7 +80,7 @@ def eigendecompose(matrix: np.ndarray, clamp_tol: float = CLAMP_TOL) -> EigenSys
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from None
     energies = energies.copy()
-    energies[np.abs(energies) < clamp_tol] = 0.0
+    energies[np.abs(energies) < CLAMP_TOL] = 0.0
     cols = np.arange(modes.shape[1])
     anchor = np.abs(modes).argmax(axis=0)
     signs = np.sign(modes[anchor, cols])
@@ -103,19 +105,16 @@ def gap_stats(eig: EigenSystem, q: int) -> GapReport:
     )
 
 
-def count_low_energy(eig: EigenSystem, gap_factor: float = 10.0) -> int:
+def count_low_energy(eig: EigenSystem) -> int:
     """Number of low-energy modes, i.e. putative well-separated clusters.
 
     Counts the modes below the highest spectral jump whose ratio
-    E_k / max(E_{k-1}, tol) still reaches ``gap_factor``; returns 1 when no
-    jump does.  The default factor 10 reflects the order-of-magnitude gaps
-    that separate collective cluster modes from intra-cluster excitations.
+    E_k / max(E_{k-1}, tol) still reaches ``GAP_FACTOR``; returns 1 when no
+    jump does.
     """
     if eig.size < 2:
         raise ParameterError("need at least two eigenvalues")
-    if not gap_factor > 1.0:
-        raise ParameterError("gap_factor must exceed 1")
     e = eig.energies
     ratios = e[1:] / np.maximum(e[:-1], CLAMP_TOL)
-    hits = np.nonzero(ratios >= gap_factor)[0]
+    hits = np.nonzero(ratios >= GAP_FACTOR)[0]
     return int(hits[-1]) + 1 if hits.size else 1

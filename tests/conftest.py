@@ -1,10 +1,20 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
 from qtclust import PointSet, eigendecompose, build_graph
+
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # CI runs with HYPOTHESIS_PROFILE=ci: fixed example draws, and a failure prints the blob that replays it
+    settings.register_profile("ci", derandomize=True, print_blob=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_geometric_graph(seed, m, d=2, eps=None):

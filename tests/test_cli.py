@@ -124,9 +124,9 @@ def test_kernel_cmd(tmp_path, clouds_csv):
 
 
 def test_kernel_s_zero_exits_2(tmp_path, clouds_csv, capsys):
-    argv = ["kernel", "--input", str(clouds_csv), "--eps", "0.1", "--kind", "S", "--s", "0", "--out", str(tmp_path / "k")]
-    assert main(argv) == 2
-    assert "s must be a positive finite number" in capsys.readouterr().err
+    argv = ["kernel", "--input", str(clouds_csv), "--eps", "0.1", "--kind", "S", "--s-rule", "explicit", "--s-mult", "0"]
+    assert main(argv + ["--out", str(tmp_path / "k")]) == 2
+    assert "multiplier must be a positive finite number" in capsys.readouterr().err
 
 
 def test_consensus_rejects_summary_option(tmp_path, clouds_csv):
@@ -237,40 +237,86 @@ def test_load_labels_csv_rejects_bad_indices(tmp_path, rows):
         (["gen", "--kind", "annuli", "--radii", "0.4,r"], "--radii"),
         (["experiment", "spectrum-count", "--n-per", "1.5"], "--n-per"),
         (["experiment", "eps-sweep", "--eps-grid", "0.1,zz"], "--eps-grid"),
+        (["gen", "--kind", "gaussian-clouds", "--centers", "0,0;1"], "--centers"),
     ],
 )
 def test_bad_list_option_exits_2(tmp_path, clouds_csv, capsys, argv, option):
-    if argv[0] == "experiment":
+    if "eps-sweep" in argv:
         argv = argv + ["--input", str(clouds_csv)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert option in capsys.readouterr().err
 
 
-_COMMON_KEYS = {"command", "eps", "input", "out", "seed"}
-_ENSEMBLE_KEYS = _COMMON_KEYS | {"q", "s_rule", "s_mult", "m_prime", "label_method", "summary"}
+_GRAPH = ["--input", "POINTS", "--eps", "0.1"]
+_GRAPH_KEYS = {"command", "eps", "input", "out"}
+_ENSEMBLE_KEYS = _GRAPH_KEYS | {"seed", "q", "s_rule", "s_mult", "m_prime", "label_method", "summary"}
+_EXPERIMENT_KEYS = {"command", "name", "out", "seed"}
 
 
 @pytest.mark.parametrize(
     "argv, keys",
     [
-        (["eigen"], _COMMON_KEYS | {"q"}),
-        (["phases", "--init-node", "0"], _COMMON_KEYS | {"init_node", "q", "s_rule", "s_mult"}),
-        (["cluster", "--q", "3", "--m-prime", "10"], _ENSEMBLE_KEYS),
-        (["consensus", "--q", "3", "--m-prime", "10"], _ENSEMBLE_KEYS),
-        (["spectral", "--q", "3"], _COMMON_KEYS | {"q", "normalization"}),
-        (["kernel", "--kind", "P"], _COMMON_KEYS | {"kind", "s", "s_rule", "s_mult"}),
+        (["eigen", *_GRAPH], _GRAPH_KEYS | {"q"}),
+        (["phases", "--init-node", "0", *_GRAPH], _GRAPH_KEYS | {"init_node", "q", "s_rule", "s_mult"}),
+        (["cluster", "--q", "3", "--m-prime", "10", *_GRAPH], _ENSEMBLE_KEYS),
+        (["consensus", "--q", "3", "--m-prime", "10", *_GRAPH], _ENSEMBLE_KEYS),
+        (["spectral", "--q", "3", *_GRAPH], _GRAPH_KEYS | {"seed", "q", "normalization"}),
+        (["kernel", "--kind", "P", *_GRAPH], _GRAPH_KEYS | {"kind", "s_rule", "s_mult"}),
+        (["experiment", "spectrum-count", "--n-per", "10"], _EXPERIMENT_KEYS | {"sigma", "eps", "n_per"}),
+        (["experiment", "two-cloud", "--n-per", "30"], _EXPERIMENT_KEYS | {"sigma", "ell_sigma", "n_per", "partition"}),
+        (["experiment", "outlier-sweep"], _EXPERIMENT_KEYS | {"sigma", "ell", "eps"}),
         (
-            ["experiment", "spectrum-count", "--n-per", "10"],
-            _COMMON_KEYS
-            | {"name", "sigma", "ell", "ell_sigma", "n_per", "partition", "q", "eps_grid"}
-            | {"s_rule", "s_mult", "m_prime", "label_method"},
+            ["experiment", "eps-sweep", "--input", "POINTS", "--eps-grid", "0.1", "--m-prime", "10"],
+            _EXPERIMENT_KEYS | {"input", "q", "eps_grid", "s_rule", "s_mult", "m_prime", "label_method"},
         ),
     ],
 )
 def test_run_json_config_keys(tmp_path, clouds_csv, argv, keys):
     out = tmp_path / "o"
-    assert main(argv + ["--input", str(clouds_csv), "--eps", "0.1", "--out", str(out)]) == 0
+    argv = [str(clouds_csv) if a == "POINTS" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
     assert set(json.loads((out / "run.json").read_text())["config"]) == keys
+
+
+# options that a command accepted and never read; each is now an argparse error
+_REMOVED_OPTIONS = [
+    (["eigen", *_GRAPH], ["--seed"]),
+    (["phases", "--init-node", "0", *_GRAPH], ["--seed"]),
+    (["kernel", "--kind", "S", *_GRAPH], ["--seed", "--s"]),
+    (
+        ["experiment", "two-cloud"],
+        ["--eps", "--input", "--ell", "--q", "--eps-grid", "--s-rule", "--s-mult", "--m-prime", "--label-method"],
+    ),
+    (
+        ["experiment", "outlier-sweep"],
+        ["--input", "--ell-sigma", "--n-per", "--partition", "--q", "--eps-grid", "--s-rule", "--s-mult", "--m-prime",
+         "--label-method"],
+    ),
+    (
+        ["experiment", "spectrum-count"],
+        ["--input", "--ell", "--ell-sigma", "--partition", "--q", "--eps-grid", "--s-rule", "--s-mult", "--m-prime",
+         "--label-method"],
+    ),
+    (
+        ["experiment", "eps-sweep", "--input", "POINTS", "--eps-grid", "0.1"],
+        ["--eps", "--sigma", "--ell", "--ell-sigma", "--n-per", "--partition"],
+    ),
+]
+_OPTION_VALUES = {"--s-rule": "explicit", "--label-method": "diff", "--partition": "truth", "--input": "POINTS"}
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(argv, option) for argv, options in _REMOVED_OPTIONS for option in options],
+    ids=[f"{argv[1] if argv[0] == 'experiment' else argv[0]}{o}" for argv, opts in _REMOVED_OPTIONS for o in opts],
+)
+def test_removed_option_exits_2(tmp_path, capsys, argv, option):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, _OPTION_VALUES.get(option, "1"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["phases", "--init-node", "0"], ["cluster", "--q", "3", "--m-prime", "10"]])

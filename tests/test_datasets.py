@@ -103,6 +103,12 @@ def test_annuli_overlap_rejected():
         gen_annuli([0.5, 0.58], 0.1, 10)
 
 
+@pytest.mark.parametrize("radii, width", [([0.4, np.nan], 0.1), ([0.4, np.inf], 0.1), ([0.4, 0.8], np.inf)])
+def test_annuli_non_finite_rejected(radii, width):
+    with pytest.raises(ParameterError, match="finite"):
+        gen_annuli(radii, width, 10)
+
+
 def test_tetrahedron_geometry():
     pts = gen_tetrahedron(q=4, sigma=0.1, n_per=5, seed=0)
     assert pts.dim == 3
@@ -149,6 +155,14 @@ def test_timeseries_rejects_bad_input(tmp_path):
         load_timeseries(path)
     with pytest.raises(InputError):
         load_timeseries(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("bad_row", [["d1", "5", "n/a"], ["d1", "5"]])
+def test_timeseries_bad_row_names_file_and_line(tmp_path, bad_row):
+    path = tmp_path / "ts.csv"
+    _write_timeseries(path, [["d0", "5", "7"], bad_row, ["d2", "5", "7"]])
+    with pytest.raises(InputError, match=f"{path}, line 3"):
+        load_timeseries(path)
 
 
 def test_timeseries_jump_is_cut_by_clustering(tmp_path):

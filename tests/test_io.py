@@ -106,3 +106,12 @@ def test_load_matrix_csv_missing_and_empty(tmp_path):
     (tmp_path / "empty.csv").write_text("\n\n")
     with pytest.raises(InputError):
         load_matrix_csv(tmp_path / "empty.csv")
+
+
+def test_table_csv_matches_row_writer_oracle(tmp_path):
+    floats = np.array(FLOAT_SPECIALS)
+    ints = np.arange(floats.size) - 3
+    path = tmp_path / "t.csv"
+    qio.save_table_csv(path, ["i", "x"], [ints, floats])
+    rows = "".join(f"{i},{'%.17g' % v}\r\n" for i, v in zip(ints.tolist(), floats.tolist()))
+    assert path.read_bytes() == ("i,x\r\n" + rows).encode()

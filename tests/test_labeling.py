@@ -164,3 +164,8 @@ def test_kmeans_validation():
         kmeans(np.zeros((3, 2)), 2, seed=0, n_restarts=0)
     with pytest.raises(ParameterError):
         kmeans(np.array([[0.0, 1.0], [np.nan, 0.0]]), 2, seed=0)
+
+
+def test_kmeans_overflowing_distances_rejected():
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match="overflow"):
+        kmeans(np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0], [1.0, 1.0]]), 2, seed=0)

@@ -1,0 +1,60 @@
+"""Metamorphic properties of the pipeline: transforms of the input points that must not change the clusters."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import numpy as np
+
+from qtclust import PointSet, canonical_relabel, gen_gaussian_clouds, gen_sticks, gen_tetrahedron, qtc
+
+
+def _clouds(seed):
+    return gen_gaussian_clouds([(0.0, 0.0), (1.0, 0.0), (0.5, 0.9)], 0.12, 20, seed)
+
+
+def _sticks(seed):
+    return gen_sticks(3, gap=0.4, n_per=20, density_profile="nonuniform", jitter=0.01, seed=seed)
+
+
+def _tetrahedron(seed):
+    return gen_tetrahedron(q=3, sigma=0.1, n_per=20, seed=seed)
+
+
+# generator and bandwidth quantile of each input; on every one the graph stays connected
+ANY_INPUT = {"clouds": (_clouds, 0.15), "sticks": (_sticks, 0.12)}
+# three well-separated clusters: every start node's diff labels give one partition
+SEPARATED_INPUT = {"clouds": (_clouds, 0.15), "tetrahedron": (_tetrahedron, 0.15)}
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(ANY_INPUT)), seed=st.integers(0, 1000), k=st.integers(-3, 3))
+def test_scaling_by_a_power_of_two_changes_only_the_bandwidth(name, seed, k):
+    # x 2^k is exact in floating point, and every stage sees distances only through r / r_eps
+    generate, eps = ANY_INPUT[name]
+    points = generate(seed)
+    scaled = PointSet(points.points * 2.0**k, points.truth)
+    a = qtc(points, eps, 3, m_prime=20, seed=seed)
+    b = qtc(scaled, eps, 3, m_prime=20, seed=seed)
+    assert b.graph.proximity == a.graph.proximity * 2.0**k
+    assert b.graph.hamiltonian.tobytes() == a.graph.hamiltonian.tobytes()
+    assert b.eig.energies.tobytes() == a.eig.energies.tobytes()
+    assert b.eig.modes.tobytes() == a.eig.modes.tobytes()
+    assert b.s == a.s
+    assert np.array_equal(b.labels, a.labels)
+    assert b.consensus.tobytes() == a.consensus.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(SEPARATED_INPUT)), seed=st.integers(0, 1000), data=st.data())
+def test_permuting_the_points_permutes_the_diff_labels(name, seed, data):
+    generate, eps = SEPARATED_INPUT[name]
+    points = generate(seed)
+    perm = np.array(data.draw(st.permutations(range(points.m))))
+    permuted = PointSet(points.points[perm], points.truth[perm])
+    a = qtc(points, eps, 3, m_prime=points.m, label_method="diff", summary="majority")
+    b = qtc(permuted, eps, 3, m_prime=points.m, label_method="diff", summary="majority")
+    assert np.array_equal(canonical_relabel(b.labels), canonical_relabel(a.labels[perm]))
+    assert max(b.tally.weights.values()) == max(a.tally.weights.values())

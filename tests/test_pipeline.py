@@ -63,12 +63,6 @@ def test_explicit_s_rule(three_clouds):
     assert result.s == 0.01
 
 
-def test_explicit_bandwidth_override(three_clouds):
-    result = qtc(three_clouds, eps=None, q=3, seed=0, r_eps=0.1)
-    assert result.graph.proximity == 0.1
-    assert ari(result.labels, three_clouds.truth) == 1.0
-
-
 def test_eps_or_r_eps_required(three_clouds):
     with pytest.raises(ParameterError):
         qtc(three_clouds, eps=None, q=3, seed=0)

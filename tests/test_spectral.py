@@ -138,9 +138,9 @@ def test_count_low_energy_tetrahedron_three_clusters():
 
 
 def test_count_low_energy_validation():
-    eig = eigendecompose(np.diag([0.0, 1.0]))
+    eig = eigendecompose(np.array([[1.0]]))
     with pytest.raises(ParameterError):
-        count_low_energy(eig, gap_factor=1.0)
+        count_low_energy(eig)
 
 
 def test_determinism():
