@@ -26,7 +26,6 @@ from .ensemble import (
     run_qtc,
 )
 from .errors import (
-    ConsistencyError,
     DegenerateGapError,
     InputError,
     InvalidBlockError,
@@ -44,7 +43,6 @@ from .graph import (
     quantile_proximity,
 )
 from .kernels import (
-    EmbeddingMatrix,
     embedding_distance,
     jsd_matrix,
     laplace_similarity,
@@ -59,10 +57,9 @@ from .labeling import (
     labels_circle_clustering,
     labels_direct_difference,
 )
-from .pipeline import QTCResult, build_graph, qtc, spectral_baseline
+from .pipeline import QTCResult, build_graph, qtc
 from .spectral import EigenSystem, GapReport, count_low_energy, eigendecompose, gap_stats
 from .theory import (
-    ClusterOrbitals,
     InstantonParams,
     TightBinding,
     born_expansion,
@@ -89,15 +86,12 @@ __all__ = [
     "born_expansion",
     "build_graph",
     "canonical_relabel",
-    "ClusterOrbitals",
     "cluster_orbitals",
-    "ConsistencyError",
     "consensus_matrix",
     "count_low_energy",
     "DegenerateGapError",
     "EigenSystem",
     "eigendecompose",
-    "EmbeddingMatrix",
     "embedding_distance",
     "FragmentationWarning",
     "GapReport",
@@ -141,7 +135,6 @@ __all__ = [
     "resolvent_exact",
     "run_qtc",
     "select_s",
-    "spectral_baseline",
     "spectral_cluster",
     "spectral_embedding",
     "TightBinding",

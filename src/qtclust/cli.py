@@ -75,6 +75,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive_int(text: str) -> int:
+    """A count such as the cluster number q, which must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str, option: str, kind=float) -> list:
     try:
         values = [kind(v) for v in text.split(",") if v.strip()]
@@ -229,6 +237,12 @@ def cmd_spectral(args) -> None:
 
 
 def cmd_kernel(args) -> None:
+    # only the S kernel has a damping rate: P and jsd reject the s options and leave them out of run.json
+    if args.kind == "S":
+        args.s_rule = getattr(args, "s_rule", LaplaceParams.rule)
+        args.s_mult = getattr(args, "s_mult", LaplaceParams.multiplier)
+    elif hasattr(args, "s_rule") or hasattr(args, "s_mult"):
+        raise ParameterError("--s-rule and --s-mult apply to --kind S only")
     _, graph, eig = _graph_eig(args)
     out = _out_dir(args)
     if args.kind == "P":
@@ -312,7 +326,7 @@ _SHARED_OPTIONS = {
     "--out": {"default": "qtclust-out", "help": "output directory"},
     "--input": {"required": True, "help": "points CSV"},
     "--eps": {"type": float, "required": True, "help": "quantile fraction for the bandwidth"},
-    "--q": {"type": int, "required": True, "help": "number of clusters"},
+    "--q": {"type": _positive_int, "required": True, "help": "number of clusters"},
     "--s-rule": {"choices": S_RULES, "default": LaplaceParams.rule},
     "--s-mult": {"type": float, "default": LaplaceParams.multiplier},
     "--m-prime": {"type": int, "default": None},
@@ -368,7 +382,8 @@ def _parser() -> argparse.ArgumentParser:
     _command(sub, "consensus", cmd_consensus, "co-clustering frequency matrix", ensemble)
     spectral = _command(sub, "spectral", cmd_spectral, "spectral clustering baseline", graph + ("--seed", "--q"))
     spectral.add_argument("--normalization", choices=NORMALIZATIONS, default="approach1")
-    kernel = _command(sub, "kernel", cmd_kernel, "quantum similarity kernel matrices", graph + s_options)
+    unset_s = {"s_rule": argparse.SUPPRESS, "s_mult": argparse.SUPPRESS}  # cmd_kernel resolves them for S only
+    kernel = _command(sub, "kernel", cmd_kernel, "quantum similarity kernel matrices", graph + s_options, **unset_s)
     kernel.add_argument("--kind", required=True, choices=("P", "S", "jsd"))
 
     experiment = sub.add_parser("experiment", help="reproducible validation experiments", allow_abbrev=False)

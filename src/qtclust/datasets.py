@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 

@@ -28,11 +28,3 @@ class DegenerateGapError(NumericError):
 class InvalidBlockError(NumericError):
     """A cluster block ground state has mixed signs and is not a valid orbital."""
 
-
-class ConsistencyError(NumericError):
-    """Two redundant computation routes disagreed.
-
-    The library no longer raises it: each result now has one route, and the
-    second routes live in the tests as oracles.  It stays exported so that
-    callers catching it keep working.
-    """

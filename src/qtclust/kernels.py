@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,17 +16,6 @@ NORMALIZATIONS = ("none", "approach1", "approach2")
 DEGENERACY_TOL = 1e-9
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Low-energy eigenvector features, one row per node."""
-
-    features: np.ndarray
-    normalization: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _readonly(np.asarray(self.features, dtype=float)))
 
 
 def _normalize_features(features: np.ndarray, normalization: str) -> np.ndarray:
@@ -54,8 +42,8 @@ def _normalize_features(features: np.ndarray, normalization: str) -> np.ndarray:
     raise ParameterError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
 
 
-def spectral_embedding(eig: EigenSystem, q: int, normalization: str = "none") -> EmbeddingMatrix:
-    """Rows of the first q eigenvectors, optionally renormalized per node.
+def spectral_embedding(eig: EigenSystem, q: int, normalization: str = "none") -> np.ndarray:
+    """Read-only m x q features: rows of the first q eigenvectors, optionally renormalized per node.
 
     ``approach1`` rescales every row to unit length; ``approach2`` divides
     each row by its ground-state entry (making column 0 identically one).
@@ -67,7 +55,7 @@ def spectral_embedding(eig: EigenSystem, q: int, normalization: str = "none") ->
     if not 1 <= q <= eig.size:
         raise ParameterError(f"q must be between 1 and {eig.size}, got {q}")
     features = eig.modes[:, :q].copy()
-    return EmbeddingMatrix(features=_normalize_features(features, normalization), normalization=normalization)
+    return _readonly(_normalize_features(features, normalization))
 
 
 def spectral_cluster(
@@ -77,16 +65,15 @@ def spectral_cluster(
     normalization: str = "approach1",
 ) -> np.ndarray:
     """Spectral clustering: k-means on the renormalized low-energy embedding."""
-    emb = spectral_embedding(eig, q, normalization)
-    return kmeans(emb.features, q, seed)
+    return kmeans(spectral_embedding(eig, q, normalization), q, seed)
 
 
-def embedding_distance(emb: EmbeddingMatrix, i: int, j: int) -> float:
+def embedding_distance(features: np.ndarray, i: int, j: int) -> float:
     """Euclidean distance between the feature rows of nodes i and j."""
-    n = emb.features.shape[0]
+    n = features.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError(f"indices must be in [0, {n})")
-    diff = emb.features[i] - emb.features[j]
+    diff = features[i] - features[j]
     return float(np.sqrt((diff * diff).sum()))
 
 
@@ -116,11 +103,11 @@ def two_cluster_outlier_distances(alpha: float, beta: float, gamma: float, h: fl
     )
     out = {}
     for kind in NORMALIZATIONS:
-        emb = EmbeddingMatrix(features=_normalize_features(base.copy(), kind), normalization=kind)
+        features = _normalize_features(base.copy(), kind)
         out[kind] = (
-            embedding_distance(emb, 0, 1),
-            embedding_distance(emb, 0, 2),
-            embedding_distance(emb, 1, 2),
+            embedding_distance(features, 0, 1),
+            embedding_distance(features, 0, 2),
+            embedding_distance(features, 1, 2),
         )
     return out
 

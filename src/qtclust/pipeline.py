@@ -9,7 +9,6 @@ import numpy as np
 from .ensemble import LabelMatrix, PartitionTally, consensus_matrix, majority_partition, run_qtc
 from .errors import ParameterError
 from .graph import GraphBundle, PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
-from .kernels import spectral_cluster
 from .spectral import EigenSystem, GapReport, eigendecompose, gap_stats
 from .transport import LaplaceParams, select_s
 
@@ -83,15 +82,3 @@ def qtc(
         s=s,
     )
 
-
-def spectral_baseline(
-    points: PointSet,
-    eps: float,
-    q: int,
-    seed: int = 0,
-    normalization: str = "approach1",
-) -> np.ndarray:
-    """Spectral clustering on the same Gaussian similarity graph."""
-    graph = build_graph(points, eps)
-    eig = eigendecompose(graph.hamiltonian)
-    return spectral_cluster(eig, q, seed=seed, normalization=normalization)

@@ -20,22 +20,6 @@ BORN_ORDERS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
-class ClusterOrbitals:
-    """Orthonormal, nonnegative block ground states, one column per cluster."""
-
-    orbitals: np.ndarray
-    partition: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "orbitals", _readonly(np.asarray(self.orbitals, dtype=float)))
-        object.__setattr__(self, "partition", _readonly(np.asarray(self.partition, dtype=int)))
-
-    @property
-    def n_clusters(self) -> int:
-        return self.orbitals.shape[1]
-
-
-@dataclass(frozen=True)
 class TightBinding:
     """Projection of the walk generator onto the cluster orbitals.
 
@@ -51,9 +35,10 @@ class TightBinding:
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
 
 
-def cluster_orbitals(hamiltonian: np.ndarray, partition: np.ndarray) -> ClusterOrbitals:
+def cluster_orbitals(hamiltonian: np.ndarray, partition: np.ndarray) -> np.ndarray:
     """Ground state of each principal block, embedded with zeros elsewhere.
 
+    Returns the read-only m x q orbital matrix, one column per cluster.
     Each block of a degree-normalized Laplacian has a nonnegative ground
     state; a block whose ground state mixes signs (negative couplings) is
     rejected since it cannot serve as a cluster orbital.
@@ -89,12 +74,12 @@ def cluster_orbitals(hamiltonian: np.ndarray, partition: np.ndarray) -> ClusterO
         ground = np.maximum(ground, 0.0)
         ground /= np.sqrt((ground * ground).sum())
         phi[idx, mu] = ground
-    return ClusterOrbitals(orbitals=phi, partition=labels)
+    return _readonly(phi)
 
 
-def tight_binding(hamiltonian: np.ndarray, orbitals: ClusterOrbitals) -> TightBinding:
+def tight_binding(hamiltonian: np.ndarray, orbitals: np.ndarray) -> TightBinding:
     """Project the generator onto the orbital subspace: onsite + coupling."""
-    phi = orbitals.orbitals
+    phi = np.asarray(orbitals, dtype=float)
     h = phi.T @ np.asarray(hamiltonian, dtype=float) @ phi
     h = (h + h.T) / 2.0
     onsite = np.diag(h).copy()

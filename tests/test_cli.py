@@ -261,7 +261,7 @@ _EXPERIMENT_KEYS = {"command", "name", "out", "seed"}
         (["cluster", "--q", "3", "--m-prime", "10", *_GRAPH], _ENSEMBLE_KEYS),
         (["consensus", "--q", "3", "--m-prime", "10", *_GRAPH], _ENSEMBLE_KEYS),
         (["spectral", "--q", "3", *_GRAPH], _GRAPH_KEYS | {"seed", "q", "normalization"}),
-        (["kernel", "--kind", "P", *_GRAPH], _GRAPH_KEYS | {"kind", "s_rule", "s_mult"}),
+        (["kernel", "--kind", "P", *_GRAPH], _GRAPH_KEYS | {"kind"}),
         (["experiment", "spectrum-count", "--n-per", "10"], _EXPERIMENT_KEYS | {"sigma", "eps", "n_per"}),
         (["experiment", "two-cloud", "--n-per", "30"], _EXPERIMENT_KEYS | {"sigma", "ell_sigma", "n_per", "partition"}),
         (["experiment", "outlier-sweep"], _EXPERIMENT_KEYS | {"sigma", "ell", "eps"}),
@@ -269,6 +269,7 @@ _EXPERIMENT_KEYS = {"command", "name", "out", "seed"}
             ["experiment", "eps-sweep", "--input", "POINTS", "--eps-grid", "0.1", "--m-prime", "10"],
             _EXPERIMENT_KEYS | {"input", "q", "eps_grid", "s_rule", "s_mult", "m_prime", "label_method"},
         ),
+        (["kernel", "--kind", "S", *_GRAPH], _GRAPH_KEYS | {"kind", "s_rule", "s_mult"}),
     ],
 )
 def test_run_json_config_keys(tmp_path, clouds_csv, argv, keys):
@@ -325,3 +326,31 @@ def test_explicit_s_reaches_run_json(tmp_path, clouds_csv, argv):
     flags = ["--input", str(clouds_csv), "--eps", "0.1", "--s-rule", "explicit", "--s-mult", "0.3", "--out", str(out)]
     assert main(argv + flags) == 0
     assert json.loads((out / "run.json").read_text())["derived"]["s"] == 0.3
+
+
+# values that a command accepted and ignored, or rejected only after the graph was built
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eigen", *_GRAPH, "--q", "0"], "--q"),
+        (["phases", "--init-node", "0", "--input", "POINTS", "--eps", "0.3", "--q", "-5"], "--q"),
+        (["cluster", *_GRAPH, "--q", "0"], "--q"),
+        (["consensus", *_GRAPH, "--q", "-1"], "--q"),
+        (["spectral", *_GRAPH, "--q", "0"], "--q"),
+        (["gen", "--kind", "tetrahedron", "--q", "0"], "--q"),
+        (["experiment", "eps-sweep", "--input", "POINTS", "--eps-grid", "0.1", "--q", "0"], "--q"),
+        (["kernel", "--kind", "P", *_GRAPH, "--s-mult", "0"], "--s-mult"),
+        (["kernel", "--kind", "jsd", *_GRAPH, "--s-rule", "first_gap"], "--s-rule"),
+        (["kernel", "--kind", "P", *_GRAPH, "--s-rule", "avg_gap", "--s-mult", "1.2"], "--s-rule"),
+    ],
+)
+def test_nonpositive_q_and_s_options_outside_kernel_s_exit_2(tmp_path, clouds_csv, capsys, argv, option):
+    out = tmp_path / "o"
+    argv = [str(clouds_csv) if a == "POINTS" else a for a in argv] + ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()

@@ -41,7 +41,7 @@ def test_full_spectrum_kmeans_objective_is_flat():
     def wcss(assign, k):
         total = 0.0
         for c in range(k):
-            members = emb.features[assign == c]
+            members = emb[assign == c]
             if len(members):
                 total += ((members - members.mean(axis=0)) ** 2).sum()
         return total
@@ -63,7 +63,7 @@ def test_two_disconnected_clusters_give_two_embedding_rows():
     graph = laplacians(gaussian_adjacency(pairwise_distances(pts), 0.2))
     eig = eigendecompose(graph.hamiltonian)
     emb = spectral_embedding(eig, 2, "approach1")
-    rows = emb.features
+    rows = emb
     for mu in (0, 1):
         block = rows[pts.truth == mu]
         assert np.abs(block - block[0]).max() < 1e-8
@@ -73,14 +73,14 @@ def test_two_disconnected_clusters_give_two_embedding_rows():
 def test_approach1_rows_unit_norm():
     _, eig = random_geometric_graph(2, 25)
     emb = spectral_embedding(eig, 4, "approach1")
-    norms = np.linalg.norm(emb.features, axis=1)
+    norms = np.linalg.norm(emb, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
 
 
 def test_approach2_ground_column_all_ones():
     _, eig = random_geometric_graph(3, 25)
     emb = spectral_embedding(eig, 3, "approach2")
-    assert np.abs(emb.features[:, 0] - 1.0).max() <= 1e-12
+    assert np.abs(emb[:, 0] - 1.0).max() <= 1e-12
 
 
 def test_approach2_division_hazard():

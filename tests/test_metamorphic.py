@@ -3,12 +3,22 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
-from qtclust import PointSet, canonical_relabel, gen_gaussian_clouds, gen_sticks, gen_tetrahedron, qtc
+from qtclust import (
+    PointSet,
+    QTClustError,
+    build_graph,
+    canonical_relabel,
+    eigendecompose,
+    gen_gaussian_clouds,
+    gen_sticks,
+    gen_tetrahedron,
+    qtc,
+)
 
 
 def _clouds(seed):
@@ -23,7 +33,8 @@ def _tetrahedron(seed):
     return gen_tetrahedron(q=3, sigma=0.1, n_per=20, seed=seed)
 
 
-# generator and bandwidth quantile of each input; on every one the graph stays connected
+# generator and bandwidth quantile of each input.  The graph need not stay connected: on clouds seed 944
+# the clouds barely touch, e_1 and e_2 fall below spectral.CLAMP_TOL and snap to 0, and qtc raises
 ANY_INPUT = {"clouds": (_clouds, 0.15), "sticks": (_sticks, 0.12)}
 # three well-separated clusters: every start node's diff labels give one partition
 SEPARATED_INPUT = {"clouds": (_clouds, 0.15), "tetrahedron": (_tetrahedron, 0.15)}
@@ -31,12 +42,24 @@ SEPARATED_INPUT = {"clouds": (_clouds, 0.15), "tetrahedron": (_tetrahedron, 0.15
 
 @settings(max_examples=10, deadline=None)
 @given(name=st.sampled_from(sorted(ANY_INPUT)), seed=st.integers(0, 1000), k=st.integers(-3, 3))
+@example(name="clouds", seed=944, k=0)
 def test_scaling_by_a_power_of_two_changes_only_the_bandwidth(name, seed, k):
     # x 2^k is exact in floating point, and every stage sees distances only through r / r_eps
     generate, eps = ANY_INPUT[name]
     points = generate(seed)
     scaled = PointSet(points.points * 2.0**k, points.truth)
-    a = qtc(points, eps, 3, m_prime=20, seed=seed)
+    try:
+        a = qtc(points, eps, 3, m_prime=20, seed=seed)
+    except QTClustError as exc:
+        # the scaled input must fail the same way, from the same H and spectrum
+        with pytest.raises(type(exc)) as scaled_exc:
+            qtc(scaled, eps, 3, m_prime=20, seed=seed)
+        assert str(scaled_exc.value) == str(exc)
+        ga, gb = build_graph(points, eps), build_graph(scaled, eps)
+        assert gb.proximity == ga.proximity * 2.0**k
+        assert gb.hamiltonian.tobytes() == ga.hamiltonian.tobytes()
+        assert eigendecompose(gb.hamiltonian).energies.tobytes() == eigendecompose(ga.hamiltonian).energies.tobytes()
+        return
     b = qtc(scaled, eps, 3, m_prime=20, seed=seed)
     assert b.graph.proximity == a.graph.proximity * 2.0**k
     assert b.graph.hamiltonian.tobytes() == a.graph.hamiltonian.tobytes()

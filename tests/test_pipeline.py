@@ -6,11 +6,12 @@ from qtclust import (
     ParameterError,
     ari,
     build_graph,
+    eigendecompose,
     gen_gaussian_clouds,
     pairwise_distances,
     qtc,
     quantile_proximity,
-    spectral_baseline,
+    spectral_cluster,
 )
 
 
@@ -27,7 +28,7 @@ def test_three_clouds_perfect_clustering(three_clouds):
 
 
 def test_spectral_parity_on_easy_data(three_clouds):
-    labels = spectral_baseline(three_clouds, 0.1, 3, seed=0)
+    labels = spectral_cluster(eigendecompose(build_graph(three_clouds, 0.1).hamiltonian), 3, seed=0)
     assert ari(labels, three_clouds.truth) == 1.0
 
 

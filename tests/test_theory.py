@@ -39,15 +39,15 @@ def test_orbitals_of_disconnected_blocks_are_eigenvectors():
     graph, truth = disconnected_two_block_graph()
     orb = cluster_orbitals(graph.hamiltonian, truth)
     for mu in range(2):
-        phi = orb.orbitals[:, mu]
+        phi = orb[:, mu]
         h_phi = graph.hamiltonian @ phi
         xi = phi @ h_phi
         assert np.abs(h_phi - xi * phi).max() < 1e-10
-    gram = orb.orbitals.T @ orb.orbitals
+    gram = orb.T @ orb
     assert np.abs(gram - np.eye(2)).max() < 1e-12
-    assert (orb.orbitals >= 0).all()
+    assert (orb >= 0).all()
     # disjoint supports
-    assert np.abs(orb.orbitals[:, 0] * orb.orbitals[:, 1]).max() == 0.0
+    assert np.abs(orb[:, 0] * orb[:, 1]).max() == 0.0
 
 
 def test_orbitals_two_cloud_support_and_sign():
@@ -55,7 +55,7 @@ def test_orbitals_two_cloud_support_and_sign():
     graph = laplacians(gaussian_adjacency(pairwise_distances(pts), 0.1))
     orb = cluster_orbitals(graph.hamiltonian, pts.truth)
     for mu in range(2):
-        phi = orb.orbitals[:, mu]
+        phi = orb[:, mu]
         assert (phi[pts.truth == mu] > 0).mean() > 0.99  # unimodal bump on its cluster
         assert np.all(phi[pts.truth != mu] == 0.0)
 
