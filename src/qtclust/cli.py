@@ -105,9 +105,28 @@ def _parse_centers(text: str) -> list[list[float]]:
     return centers
 
 
+# the options each generator kind reads, with their defaults; gen declares them all without a default
+_STICKS = {"n_sticks": 3, "length": 1.0, "gap": 0.2, "jitter": 0.01, "n_per": "100"}
+_GEN_OPTIONS = {
+    "gaussian-clouds": {"centers": None, "sigma": 0.1, "n_per": "100"},
+    "sticks-uniform": _STICKS,
+    "sticks-nonuniform": _STICKS,
+    "annuli": {"radii": "0.4,0.8,1.2,1.6,2.0", "width": 0.1, "counts": None, "base_count": 40},
+    "tetrahedron": {"q": 4, "sigma": 0.1, "n_per": "100"},
+}
+
+
 def cmd_gen(args) -> None:
     kind = args.kind
-    n_per = _parse_counts(args.n_per, "--n-per")
+    own = _GEN_OPTIONS[kind]
+    foreign = sorted({name for options in _GEN_OPTIONS.values() for name in options if hasattr(args, name)} - set(own))
+    if foreign:
+        flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
+        raise ParameterError(f"--kind {kind} does not take {flags}")
+    for name, default in own.items():
+        if not hasattr(args, name):
+            setattr(args, name, default)
+    n_per = _parse_counts(args.n_per, "--n-per") if "n_per" in own else None
     if kind == "gaussian-clouds":
         if not args.centers:
             raise ParameterError("--centers is required for gaussian-clouds")
@@ -130,10 +149,8 @@ def cmd_gen(args) -> None:
         else:
             counts = _parse_counts(args.counts, "--counts")
         points = gen_annuli(radii, args.width, counts, args.seed)
-    elif kind == "tetrahedron":
+    else:  # tetrahedron
         points = gen_tetrahedron(q=args.q, sigma=args.sigma, n_per=n_per, seed=args.seed)
-    else:  # argparse choices already guard this
-        raise ParameterError(f"unknown generator kind {kind!r}")
     target = Path(args.out)
     if target.suffix == ".csv":
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -360,18 +377,20 @@ def _parser() -> argparse.ArgumentParser:
     s_options = ("--s-rule", "--s-mult")
     label_options = ("--m-prime", "--label-method")
 
-    gen = _command(sub, "gen", cmd_gen, "generate a synthetic point set", ("--seed", "--sigma", "--n-per", "--q"), q=4)
-    gen.add_argument("--kind", required=True, choices=("gaussian-clouds", "sticks-uniform", "sticks-nonuniform", "annuli", "tetrahedron"))
+    # cmd_gen gives each kind's options their defaults and rejects those of other kinds
+    unset = {name: argparse.SUPPRESS for name in ("sigma", "n_per", "q")}
+    gen = _command(sub, "gen", cmd_gen, "generate a synthetic point set", ("--seed", "--sigma", "--n-per", "--q"), **unset)
+    gen.add_argument("--kind", required=True, choices=tuple(_GEN_OPTIONS))
     gen.add_argument("--out", default="points.csv", help="points CSV path or output directory")
-    gen.add_argument("--centers", default=None, help="semicolon-separated coordinate tuples, e.g. '0,0;1,0'")
-    gen.add_argument("--n-sticks", type=int, default=3)
-    gen.add_argument("--length", type=float, default=1.0)
-    gen.add_argument("--gap", type=float, default=0.2)
-    gen.add_argument("--jitter", type=float, default=0.01)
-    gen.add_argument("--radii", default="0.4,0.8,1.2,1.6,2.0")
-    gen.add_argument("--width", type=float, default=0.1)
-    gen.add_argument("--counts", default=None, help="per-ring counts (comma list); default scales with radius")
-    gen.add_argument("--base-count", type=int, default=40)
+    gen.add_argument("--centers", default=argparse.SUPPRESS, help="semicolon-separated coordinate tuples, e.g. '0,0;1,0'")
+    gen.add_argument("--n-sticks", type=int, default=argparse.SUPPRESS)
+    gen.add_argument("--length", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--gap", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--jitter", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--radii", default=argparse.SUPPRESS)
+    gen.add_argument("--width", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--counts", default=argparse.SUPPRESS, help="per-ring counts (comma list); default scales with radius")
+    gen.add_argument("--base-count", type=int, default=argparse.SUPPRESS)
 
     _command(sub, "eigen", cmd_eigen, "spectrum and gap diagnostics", graph + ("--q",), q=None)
     phases = _command(sub, "phases", cmd_phases, "phase field of one start node", graph + ("--q",) + s_options, q=None)

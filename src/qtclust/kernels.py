@@ -16,6 +16,8 @@ NORMALIZATIONS = ("none", "approach1", "approach2")
 DEGENERACY_TOL = 1e-9
 
 LN2 = math.log(2.0)
+# float64 entries in the largest scratch array of one jsd_matrix tile (1 MiB)
+_TILE_ENTRIES = 1 << 17
 
 
 def _normalize_features(features: np.ndarray, normalization: str) -> np.ndarray:
@@ -164,27 +166,90 @@ def jsd_matrix(eig: EigenSystem) -> np.ndarray:
     The averaged density operator of a walk started at node i is
     block-diagonal over degenerate energy groups, with each block the rank-1
     projection of the start state; entropies therefore reduce to per-group
-    2x2 Gram eigenvalues.  Symmetric, zero diagonal, bounded by ln 2.
-    Cost grows cubically with the node count.
+    2x2 Gram eigenvalues.  For a group of one energy the Gram step collapses
+    to the classical mixture entropy -x log x with x = (w_i + w_j) / 2 and
+    w = modes**2, summed over all such energies at once; only groups of two
+    or more energies keep the Gram step, their cross terms taken tile by
+    tile.  Symmetric, zero diagonal, bounded by ln 2.
+
+    Only the upper triangle is computed, in square tiles of at most
+    ``_TILE_ENTRIES`` / (number of groups) node pairs, one pair at the least,
+    so that each tile's scratch arrays (rows x cols x groups of one kind)
+    hold at most ``_TILE_ENTRIES`` values; each tile is mirrored into the
+    lower triangle.  Cost grows cubically with the node count.
     """
     groups = _degenerate_groups(eig.energies, DEGENERACY_TOL)
     m = eig.size
-    mix_entropy = np.zeros((m, m))
-    self_entropy = np.zeros(m)
-    for g in groups:
-        block = eig.modes[:, g]
-        weight = (block * block).sum(axis=1)
-        self_entropy -= _xlogx(weight)
-        cross = block @ block.T
-        mean = (weight[:, None] + weight[None, :]) / 4.0
-        radius = 0.5 * np.sqrt(((weight[:, None] - weight[None, :]) * 0.5) ** 2 + cross * cross)
-        mix_entropy -= _xlogx(mean + radius) + _xlogx(np.maximum(mean - radius, 0.0))
-    out = mix_entropy - 0.5 * (self_entropy[:, None] + self_entropy[None, :])
-    out = (out + out.T) / 2.0
-    np.fill_diagonal(out, 0.0)
-    return np.clip(out, 0.0, LN2)
+    modes = eig.modes
+    # C order, so each tile's sum over energies runs along a contiguous axis
+    weights = np.square(modes[:, [g[0] for g in groups if g.size == 1]], order="C")
+    # groups are runs of consecutive energies, so each block is a view of modes
+    blocks = [modes[:, g[0] : g[-1] + 1] for g in groups if g.size > 1]
+    block_weights = np.array([np.einsum("ij,ij->i", b, b) for b in blocks]).reshape(len(blocks), m)
+    # -S_i / 2 for each node's own entropy S_i = -sum of w log w over its group weights w
+    half_self = _xlogx(weights).sum(axis=1) + _xlogx(block_weights).sum(axis=0)
+    half_self *= 0.5
+    weights *= 0.5  # so that w_i / 2 + w_j / 2 is the mixture weight x of each tile
+    n_single = weights.shape[1]
+    side = min(m, max(1, math.isqrt(_TILE_ENTRIES // len(groups))))
+    # two reused buffers: freshly allocated tile arrays would fault in their pages on every tile
+    mix = np.empty(side * side * n_single)
+    # x is 0 only where both weights are; the log skips it and keeps a finite earlier value, so x log x is 0
+    logs = np.zeros_like(mix)
+    has_zeros = not weights.all()
+    out = np.empty((m, m))
+    for r0 in range(0, m, side):
+        rows = slice(r0, min(r0 + side, m))
+        for c0 in range(r0, m, side):
+            cols = slice(c0, min(c0 + side, m))
+            shape = (rows.stop - r0, cols.stop - c0, n_single)
+            x = np.add(weights[rows, None, :], weights[None, cols, :], out=mix[: math.prod(shape)].reshape(shape))
+            log_x = np.log(x, out=logs[: x.size].reshape(shape), where=x > 0.0 if has_zeros else True)
+            log_x *= x
+            tile = log_x.sum(axis=2)
+            if blocks:
+                cross = np.stack([b[rows] @ b[cols].T for b in blocks])
+                tile += _gram_xlogx(cross, block_weights[:, rows, None], block_weights[:, None, cols]).sum(axis=0)
+            # tile holds -S(mix); D = S(mix) - (S_i + S_j) / 2
+            tile -= half_self[rows, None]
+            tile -= half_self[None, cols]
+            np.negative(tile, out=tile)
+            np.clip(tile, 0.0, LN2, out=tile)
+            if c0 == r0:
+                tile = np.triu(tile, 1)
+                tile += tile.T
+            out[rows, cols] = tile
+            out[cols, rows] = tile.T
+    return out
+
+
+def _gram_xlogx(cross: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
+    """x log x summed over the two eigenvalues of each Gram block ((w_i, c), (c, w_j)) / 2.
+
+    The eigenvalues are mean +- radius with mean = (w_i + w_j) / 4 and
+    radius = sqrt(((w_i - w_j) / 2)**2 + c**2) / 2; ``cross`` (c) is
+    overwritten.
+    """
+    diff = np.subtract(w_rows, w_cols)
+    diff *= 0.5
+    diff *= diff
+    cross *= cross
+    cross += diff
+    np.sqrt(cross, out=cross)
+    cross *= 0.5
+    mean = np.add(w_rows, w_cols)
+    mean *= 0.25
+    low = np.subtract(mean, cross, out=diff)
+    np.maximum(low, 0.0, out=low)
+    mean += cross
+    total = _xlogx(mean)
+    total += _xlogx(low)
+    return total
 
 
 def _xlogx(values: np.ndarray) -> np.ndarray:
-    safe = np.where(values > 0.0, values, 1.0)
-    return values * np.log(safe)
+    """values * log(values), with 0 where values is 0; no log of zero is taken."""
+    out = np.zeros_like(values)
+    np.log(values, out=out, where=values > 0.0)
+    out *= values
+    return out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtclust import PointSet, eigendecompose, build_graph
+from qtclust.kernels import DEGENERACY_TOL, LN2, _degenerate_groups
 
 try:
     from hypothesis import settings
@@ -31,6 +32,35 @@ def random_geometric_graph(seed, m, d=2, eps=None):
 def two_node_eig():
     """Single-edge graph: energies (0, 2), symmetric/antisymmetric modes."""
     return eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def jsd_matrix_oracle(eig):
+    """The JSD kernel group by group over full m x m arrays: the reference for ``kernels.jsd_matrix``.
+
+    Every energy group, one energy or many, takes the 2x2 Gram step: the
+    mixture of the start states' projections onto the group has eigenvalues
+    mean +- radius.
+    """
+    m = eig.size
+    mix_entropy = np.zeros((m, m))
+    self_entropy = np.zeros(m)
+    for g in _degenerate_groups(eig.energies, DEGENERACY_TOL):
+        block = eig.modes[:, g]
+        weight = (block * block).sum(axis=1)
+        self_entropy -= _xlogx_oracle(weight)
+        cross = block @ block.T
+        mean = (weight[:, None] + weight[None, :]) / 4.0
+        radius = 0.5 * np.sqrt(((weight[:, None] - weight[None, :]) * 0.5) ** 2 + cross * cross)
+        mix_entropy -= _xlogx_oracle(mean + radius) + _xlogx_oracle(np.maximum(mean - radius, 0.0))
+    out = mix_entropy - 0.5 * (self_entropy[:, None] + self_entropy[None, :])
+    out = (out + out.T) / 2.0
+    np.fill_diagonal(out, 0.0)
+    return np.clip(out, 0.0, LN2)
+
+
+def _xlogx_oracle(values):
+    safe = np.where(values > 0.0, values, 1.0)
+    return values * np.log(safe)
 
 
 def permutation_equivalent(a, b, q):

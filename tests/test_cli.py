@@ -11,7 +11,7 @@ from qtclust.cli import main
 from qtclust.io import load_labels_csv, load_matrix_csv
 
 import qtclust
-from qtclust import InputError, gen_gaussian_clouds
+from qtclust import InputError, gen_annuli, gen_gaussian_clouds, gen_sticks, gen_tetrahedron
 from qtclust.io import save_points_csv
 
 
@@ -30,6 +30,40 @@ def test_gen_writes_points(tmp_path):
     assert out.exists()
     header = out.read_text().splitlines()[0]
     assert header == "x0,x1,x2,label"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["--kind", "annuli", "--centers", "0,0"], "--centers"),
+        (["--kind", "annuli", "--n-per", "5"], "--n-per"),
+        (["--kind", "tetrahedron", "--radii", "1", "--n-sticks", "2"], "--n-sticks, --radii"),
+        (["--kind", "sticks-uniform", "--sigma", "0.2"], "--sigma"),
+        (["--kind", "sticks-nonuniform", "--q", "3"], "--q"),
+        (["--kind", "gaussian-clouds", "--centers", "0,0", "--width", "0.1", "--base-count", "5"], "--base-count, --width"),
+    ],
+)
+def test_gen_rejects_options_of_other_kinds(tmp_path, capsys, argv, flags):
+    out = tmp_path / "points.csv"
+    assert main(["gen", *argv, "--out", str(out)]) == 2
+    assert f"does not take {flags}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("sticks-uniform", lambda: gen_sticks(3, 1.0, 0.2, 100, "uniform", 0.01, seed=0)),
+        ("sticks-nonuniform", lambda: gen_sticks(3, 1.0, 0.2, 100, "nonuniform", 0.01, seed=0)),
+        ("annuli", lambda: gen_annuli([0.4, 0.8, 1.2, 1.6, 2.0], 0.1, [40, 80, 120, 160, 200], seed=0)),
+        ("tetrahedron", lambda: gen_tetrahedron(4, 0.1, 100, seed=0)),
+    ],
+)
+def test_gen_defaults_of_each_kind(tmp_path, kind, expected):
+    out = tmp_path / "points.csv"
+    assert main(["gen", "--kind", kind, "--out", str(out)]) == 0
+    save_points_csv(tmp_path / "expected.csv", expected())
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_cluster_end_to_end(tmp_path, clouds_csv):

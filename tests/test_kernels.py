@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qtclust import kernels
 from qtclust import (
     NumericError,
     ParameterError,
+    PointSet,
     ari,
     eigendecompose,
     embedding_distance,
@@ -247,6 +249,18 @@ def test_jsd_orthogonal_supports_saturate():
     d = jsd_matrix(eig)
     off = d[~np.eye(3, dtype=bool)]
     assert np.abs(off - math.log(2.0)).max() < 1e-12
+
+
+def test_jsd_takes_no_log_of_zero_on_a_disconnected_graph():
+    # two clouds 1e3 apart: the cross-cloud weights underflow to 0 and every mode vanishes on one cloud
+    rng = np.random.default_rng(0)
+    points = np.vstack([rng.normal(size=(6, 2)) * 0.1, rng.normal(size=(5, 2)) * 0.1 + 1e3])
+    eig = eigendecompose(build_graph(PointSet(points), 0.3).hamiltonian)
+    assert (eig.modes == 0.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = jsd_matrix(eig)
+    assert np.abs(d[:6, 6:] - math.log(2.0)).max() < 1e-12
 
 
 def test_jsd_matches_von_neumann_oracle():

@@ -3,7 +3,7 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -17,8 +17,14 @@ from qtclust import (
     gen_gaussian_clouds,
     gen_sticks,
     gen_tetrahedron,
+    jsd_matrix,
+    laplace_similarity,
     qtc,
+    transition_kernel,
 )
+from qtclust import kernels
+
+from conftest import random_geometric_graph
 
 
 def _clouds(seed):
@@ -81,3 +87,19 @@ def test_permuting_the_points_permutes_the_diff_labels(name, seed, data):
     b = qtc(permuted, eps, 3, m_prime=points.m, label_method="diff", summary="majority")
     assert np.array_equal(canonical_relabel(b.labels), canonical_relabel(a.labels[perm]))
     assert max(b.tally.weights.values()) == max(a.tally.weights.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 1000), m=st.integers(2, 14), data=st.data())
+def test_permuting_the_nodes_permutes_the_kernels(seed, m, data):
+    graph, eig = random_geometric_graph(seed, m)
+    # eigh moves the modes by ~1e-16 / gap, which P and the JSD see: only well-separated spectra stay within 1e-12
+    assume(np.diff(eig.energies).min() > 1e-3)
+    perm = np.array(data.draw(st.permutations(range(m))))
+    permuted = eigendecompose(graph.hamiltonian[np.ix_(perm, perm)])
+    with pytest.MonkeyPatch.context() as mp:
+        # tiles of three nodes, so the permutation moves their boundaries relative to the data
+        mp.setattr(kernels, "_TILE_ENTRIES", 9 * m)
+        for kernel in (jsd_matrix, transition_kernel, lambda e: laplace_similarity(e, 0.5)):
+            expected = kernel(eig)[np.ix_(perm, perm)]
+            assert np.abs(kernel(permuted) - expected).max() <= 1e-12
