@@ -70,14 +70,7 @@ from .theory import (
     tight_binding,
     two_level_phases,
 )
-from .transport import (
-    LaplaceParams,
-    WavePhaseField,
-    laplace_amplitudes,
-    laplace_wavefunction,
-    phase_field,
-    select_s,
-)
+from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s
 
 __version__ = "0.1.0"
 
@@ -114,7 +107,6 @@ __all__ = [
     "labels_direct_difference",
     "laplace_amplitudes",
     "laplace_similarity",
-    "laplace_wavefunction",
     "LaplaceParams",
     "laplacians",
     "load_timeseries",
@@ -142,5 +134,4 @@ __all__ = [
     "transition_kernel",
     "two_cluster_outlier_distances",
     "two_level_phases",
-    "WavePhaseField",
 ]

@@ -23,7 +23,7 @@ from .errors import InputError, NumericError, ParameterError
 from .kernels import NORMALIZATIONS, jsd_matrix, laplace_similarity, spectral_cluster, transition_kernel
 from .pipeline import SUMMARIES, build_graph, qtc
 from .spectral import eigendecompose, gap_stats
-from .transport import S_RULES, LaplaceParams, laplace_wavefunction, select_s
+from .transport import S_RULES, LaplaceParams, laplace_amplitudes, phase_field, select_s
 
 SCHEMA = "qtclust/1"
 
@@ -35,8 +35,6 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -45,10 +43,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, default=_json_default, sort_keys=True) + "\n")
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return path
+
+
 def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _make_dir(Path(args.out))
 
 
 def _write_run_json(out: Path, args, derived: dict) -> None:
@@ -153,10 +157,9 @@ def cmd_gen(args) -> None:
         points = gen_tetrahedron(q=args.q, sigma=args.sigma, n_per=n_per, seed=args.seed)
     target = Path(args.out)
     if target.suffix == ".csv":
-        target.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(target.parent)
     else:
-        target.mkdir(parents=True, exist_ok=True)
-        target = target / "points.csv"
+        target = _make_dir(target) / "points.csv"
     io.save_points_csv(target, points)
     print(f"wrote {target} ({points.m} points, d={points.dim})")
 
@@ -183,18 +186,18 @@ def cmd_phases(args) -> None:
     out = _out_dir(args)
     gaps = gap_stats(eig, max(args.q or 2, 2))
     s = select_s(gaps, _laplace_params(args))
-    wave = laplace_wavefunction(eig, args.init_node, s)
+    amplitudes = laplace_amplitudes(eig, [args.init_node], s)[:, 0]
     path = out / "phases.csv"
     io.save_table_csv(
         path,
         ["node_index", "phase", "amplitude_re", "amplitude_im"],
-        [np.arange(eig.size), wave.phases, wave.amplitudes.real, wave.amplitudes.imag],
+        [np.arange(eig.size), phase_field(amplitudes), amplitudes.real, amplitudes.imag],
     )
     _write_run_json(out, args, {"s": s, "r_eps": graph.proximity})
     print(f"wrote {path}")
 
 
-def _run_ensemble(args):
+def cmd_cluster(args) -> None:
     points = io.load_points_csv(args.input)
     result = qtc(
         points,
@@ -206,18 +209,13 @@ def _run_ensemble(args):
         seed=args.seed,
         summary=args.summary,
     )
-    return points, result
-
-
-def cmd_cluster(args) -> None:
-    points, result = _run_ensemble(args)
     out = _out_dir(args)
     report = {
         "q": args.q,
         "m_prime": result.omega.n_init,
         "s": result.s,
         "method": args.label_method,
-        "r_eps": result.graph.proximity,
+        "r_eps": result.r_eps,
     }
     if result.labels is not None:
         io.save_labels_csv(out / "labels.csv", result.labels)
@@ -227,17 +225,8 @@ def cmd_cluster(args) -> None:
     if result.consensus is not None:
         io.save_matrix_csv(out / "consensus.csv", result.consensus)
     _write_json(out / "report.json", report)
-    _write_run_json(out, args, {"s": result.s, "r_eps": result.graph.proximity, "init_nodes": result.omega.init_nodes})
+    _write_run_json(out, args, {"s": result.s, "r_eps": result.r_eps, "init_nodes": result.omega.init_nodes})
     print(f"wrote {out / 'report.json'}")
-
-
-def cmd_consensus(args) -> None:
-    args.summary = "consensus"
-    points, result = _run_ensemble(args)
-    out = _out_dir(args)
-    io.save_matrix_csv(out / "consensus.csv", result.consensus)
-    _write_run_json(out, args, {"s": result.s, "r_eps": result.graph.proximity, "init_nodes": result.omega.init_nodes})
-    print(f"wrote {out / 'consensus.csv'}")
 
 
 def cmd_spectral(args) -> None:
@@ -398,7 +387,6 @@ def _parser() -> argparse.ArgumentParser:
     ensemble = graph + ("--seed", "--q") + s_options + label_options
     cluster = _command(sub, "cluster", cmd_cluster, "full transport clustering run", ensemble)
     cluster.add_argument("--summary", choices=SUMMARIES, default="both")
-    _command(sub, "consensus", cmd_consensus, "co-clustering frequency matrix", ensemble)
     spectral = _command(sub, "spectral", cmd_spectral, "spectral clustering baseline", graph + ("--seed", "--q"))
     spectral.add_argument("--normalization", choices=NORMALIZATIONS, default="approach1")
     unset_s = {"s_rule": argparse.SUPPRESS, "s_mult": argparse.SUPPRESS}  # cmd_kernel resolves them for S only

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, ParameterError
 from .graph import PointSet
+from .io import read_csv
 
 # unit-edge regular tetrahedron; any leading subset keeps pairwise distance 1
 _TETRA_VERTICES = (
@@ -133,13 +132,9 @@ def load_timeseries(path) -> tuple[PointSet, list[str]]:
     Expects the header ``date,price_a,price_b``.  Row order is temporal
     order; the parsed dates are returned alongside the points.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
     dates: list[str] = []
     prices: list[tuple[float, float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with read_csv(path) as reader:
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["date", "price_a", "price_b"]:
             raise InputError("time-series CSV must start with header date,price_a,price_b")

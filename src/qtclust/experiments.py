@@ -12,7 +12,7 @@ from .kernels import spectral_cluster
 from .pipeline import build_graph
 from .spectral import eigendecompose, gap_stats
 from .theory import born_expansion, cluster_orbitals, predicted_phases, resolvent_exact, tight_binding
-from .transport import LaplaceParams, laplace_wavefunction, select_s
+from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s
 
 # both phase experiments damp at 1.2 times the first spectral gap
 FIRST_GAP_S = LaplaceParams(rule="first_gap", multiplier=1.2)
@@ -54,11 +54,11 @@ def two_cloud_experiment(
     points = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, n_per, seed)
     graph = build_graph(points, r_eps=sigma)
     eig = eigendecompose(graph.hamiltonian)
-    gaps = gap_stats(eig, 2)
-    s = select_s(gaps, FIRST_GAP_S)
+    s = select_s(gap_stats(eig, 2), FIRST_GAP_S)
 
     init_node = int(np.argmin(np.linalg.norm(points.points - [-ell, 0.0], axis=1)))
-    wave = laplace_wavefunction(eig, init_node, s)
+    amplitudes = laplace_amplitudes(eig, [init_node], s)[:, 0]
+    phases = phase_field(amplitudes)
 
     if partition == "truth":
         part = points.truth
@@ -75,22 +75,17 @@ def two_cloud_experiment(
     init_cluster = int(part[init_node])
     predicted_per_node = theta[part, init_cluster]
     n_drop = int(round(DROP_FRACTION * points.m))
-    keep = np.argsort(np.abs(wave.amplitudes))[n_drop:]
-    errors = np.abs(circular_difference(wave.phases[keep], predicted_per_node[keep]))
+    keep = np.argsort(np.abs(amplitudes))[n_drop:]
+    errors = np.abs(circular_difference(phases[keep], predicted_per_node[keep]))
     return {
-        "points": points.points,
-        "truth": np.asarray(part),
         "r_eps": sigma,
         "s": s,
-        "first_gap": gaps.first_gap,
         "init_node": init_node,
-        "empirical_phases": wave.phases,
-        "amplitudes": wave.amplitudes,
+        "empirical_phases": phases,
         "exact_theory": theta,
         "born_phases": {order: predicted_phases(g) for order, g in born.items()},
         "born_errors": born_errors,
         "max_phase_error": float(errors.max()),
-        "kept_nodes": keep,
     }
 
 
@@ -115,18 +110,15 @@ def outlier_sweep(
     for alpha in OUTLIER_ALPHAS:
         coords = np.vstack([clouds.points, [((2.0 * alpha - 1.0) * ell, 0.0)]])
         truth = np.concatenate([clouds.truth, [2]])
-        graph = build_graph(PointSet(points=coords, truth=truth), eps)
-        eig = eigendecompose(graph.hamiltonian)
+        eig = eigendecompose(build_graph(PointSet(points=coords, truth=truth), eps).hamiltonian)
         s = select_s(gap_stats(eig, 2), FIRST_GAP_S)
-        wave = laplace_wavefunction(eig, init_node, s)
+        phases = phase_field(laplace_amplitudes(eig, [init_node], s)[:, 0])
         rows.append(
             {
                 "alpha_out": float(alpha),
-                "phase_left_mean": float(wave.phases[truth == 0].mean()),
-                "phase_right_mean": float(wave.phases[truth == 1].mean()),
-                "phase_outlier": float(wave.phases[-1]),
-                "s": s,
-                "r_eps": graph.proximity,
+                "phase_left_mean": float(phases[truth == 0].mean()),
+                "phase_right_mean": float(phases[truth == 1].mean()),
+                "phase_outlier": float(phases[-1]),
             }
         )
     return rows
@@ -173,24 +165,14 @@ def eps_sweep(
     dist = pairwise_distances(points)
     rows = []
     for eps in np.asarray(eps_grid, dtype=float):
-        graph = build_graph(points, float(eps), dist=dist)
-        eig = eigendecompose(graph.hamiltonian)
+        eig = eigendecompose(build_graph(points, float(eps), dist=dist).hamiltonian)
         try:
             s = select_s(gap_stats(eig, max(q, 2)), laplace)
             omega = run_qtc(eig, s, q, m_prime=m_prime, seed=seed, method=label_method)
             labels, _ = majority_partition(omega, q)
             ari_qtc = ari(labels, points.truth)
         except DegenerateGapError:
-            s = float("nan")
             ari_qtc = float("nan")
         spectral_labels = spectral_cluster(eig, q, seed=seed)
-        rows.append(
-            {
-                "eps": float(eps),
-                "r_eps": graph.proximity,
-                "s": s,
-                "ari_qtc": ari_qtc,
-                "ari_spectral": ari(spectral_labels, points.truth),
-            }
-        )
+        rows.append({"eps": float(eps), "ari_qtc": ari_qtc, "ari_spectral": ari(spectral_labels, points.truth)})
     return rows

@@ -10,6 +10,7 @@ and at 2 threads compute matrices that differ in the last bits.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +50,30 @@ def save_points_csv(path, points: PointSet) -> None:
     save_table_csv(path, header, columns)
 
 
+@contextmanager
+def read_csv(path):
+    """A ``csv.reader`` over the UTF-8 text file at ``path``.
+
+    A file that is missing, unreadable or not UTF-8, or a row that the reader
+    rejects (a cell over ``csv.field_size_limit()``, say), raises ``InputError``
+    naming the file, and the line where the reader knows it.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            yield reader
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise InputError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def load_points_csv(path) -> PointSet:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with read_csv(path) as reader:
         header = next(reader, None)
         if not header:
             raise InputError(f"{path} is empty")
@@ -114,21 +133,17 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     """Read a grid written by ``save_matrix_csv``; blank lines are skipped."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
     rows = []
-    with path.open(newline="") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    with read_csv(path) as reader:
+        for cells in reader:
+            if not cells:
                 continue
             try:
-                row = [float(v) for v in line.split(",")]
+                row = [float(v) for v in cells]
             except ValueError:
-                raise InputError(f"{path}, line {line_num}: non-numeric cell in {line!r}") from None
+                raise InputError(f"{path}, line {reader.line_num}: non-numeric cell in {cells!r}") from None
             if rows and len(row) != len(rows[0]):
-                raise InputError(f"{path}, line {line_num}: expected {len(rows[0])} cells, got {len(row)}")
+                raise InputError(f"{path}, line {reader.line_num}: expected {len(rows[0])} cells, got {len(row)}")
             rows.append(row)
     if not rows:
         raise InputError(f"{path} has no data rows")
@@ -143,11 +158,7 @@ def save_labels_csv(path, labels) -> None:
 
 def load_labels_csv(path) -> np.ndarray:
     """Labels by node; the node_index column must hold 0..m-1, each once, in any order."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with read_csv(path) as reader:
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["node_index", "label"]:
             raise InputError("labels CSV must start with header node_index,label")

@@ -127,6 +127,11 @@ def transition_kernel(eig: EigenSystem) -> np.ndarray:
     groups, leaving sums of squared group projector elements.  Rows sum to
     one, so each row is the stationary visiting distribution of a walk
     started at that node.
+
+    Conditioning: energies within ``DEGENERACY_TOL`` form a group; two just
+    farther apart (gap g) count as distinct, but ``eigh`` fixes their modes
+    only to about 1e-16 / g, so entries are fixed only to ~1e-15 / g.
+    Permuting the nodes of H moved P by 4.2e-8 at g = 3.3e-9.
     """
     groups = _degenerate_groups(eig.energies, DEGENERACY_TOL)
     m = eig.size
@@ -177,6 +182,10 @@ def jsd_matrix(eig: EigenSystem) -> np.ndarray:
     so that each tile's scratch arrays (rows x cols x groups of one kind)
     hold at most ``_TILE_ENTRIES`` values; each tile is mirrored into the
     lower triangle.  Cost grows cubically with the node count.
+
+    Conditioning is that of :func:`transition_kernel`: entries are fixed
+    only to ~1e-15 / g, g the smallest gap between ungrouped energies.
+    Permuting the nodes of H moved the JSD by 1.2e-7 at g = 3.3e-9.
     """
     groups = _degenerate_groups(eig.energies, DEGENERACY_TOL)
     m = eig.size

@@ -9,7 +9,7 @@ import numpy as np
 from .ensemble import LabelMatrix, PartitionTally, consensus_matrix, majority_partition, run_qtc
 from .errors import ParameterError
 from .graph import GraphBundle, PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
-from .spectral import EigenSystem, GapReport, eigendecompose, gap_stats
+from .spectral import GapReport, eigendecompose, gap_stats
 from .transport import LaplaceParams, select_s
 
 SUMMARIES = ("majority", "consensus", "both")
@@ -17,14 +17,13 @@ SUMMARIES = ("majority", "consensus", "both")
 
 @dataclass(frozen=True)
 class QTCResult:
-    """Everything one clustering run produced, for reporting and reuse."""
+    """What one clustering run produced, with its bandwidth ``r_eps``; H and the modes are not kept."""
 
     labels: np.ndarray | None
     tally: PartitionTally | None
     consensus: np.ndarray | None
     omega: LabelMatrix
-    graph: GraphBundle
-    eig: EigenSystem
+    r_eps: float
     gaps: GapReport
     s: float
 
@@ -76,8 +75,7 @@ def qtc(
         tally=tally,
         consensus=consensus,
         omega=omega,
-        graph=graph,
-        eig=eig,
+        r_eps=graph.proximity,
         gaps=gaps,
         s=s,
     )

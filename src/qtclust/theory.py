@@ -21,18 +21,22 @@ BORN_ORDERS = (1, 2, 3)
 
 @dataclass(frozen=True)
 class TightBinding:
-    """Projection of the walk generator onto the cluster orbitals.
-
-    ``matrix`` = diag(onsite) + coupling; ``coupling`` has a zero diagonal.
-    """
+    """Projection of the walk generator onto the cluster orbitals: ``matrix`` = diag(onsite) + coupling."""
 
     matrix: np.ndarray
-    onsite: np.ndarray
-    coupling: np.ndarray
 
     def __post_init__(self):
-        for name in ("matrix", "onsite", "coupling"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=float)))
+
+    @property
+    def onsite(self) -> np.ndarray:
+        """The diagonal of ``matrix``."""
+        return np.diag(self.matrix).copy()
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """``matrix`` with a zero diagonal."""
+        return self.matrix - np.diag(self.onsite)
 
 
 def cluster_orbitals(hamiltonian: np.ndarray, partition: np.ndarray) -> np.ndarray:
@@ -81,9 +85,7 @@ def tight_binding(hamiltonian: np.ndarray, orbitals: np.ndarray) -> TightBinding
     """Project the generator onto the orbital subspace: onsite + coupling."""
     phi = np.asarray(orbitals, dtype=float)
     h = phi.T @ np.asarray(hamiltonian, dtype=float) @ phi
-    h = (h + h.T) / 2.0
-    onsite = np.diag(h).copy()
-    return TightBinding(matrix=h, onsite=onsite, coupling=h - np.diag(onsite))
+    return TightBinding(matrix=(h + h.T) / 2.0)
 
 
 def _ground_shift(tb: TightBinding) -> float:
@@ -154,7 +156,7 @@ def two_level_phases(gap: float, s: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class InstantonParams:
-    """Double-well tunneling parameters.
+    """Double-well tunneling parameters: ``separation`` ell and ``quartic`` lambda.
 
     The quartic well lambda (x^2 - ell^2)^2 has harmonic frequency
     2 ell sqrt(2 lambda) at each minimum; tunneling events of density
@@ -162,52 +164,39 @@ class InstantonParams:
     degenerate ground state by 2 frequency density.
     """
 
-    quartic: float
-    frequency: float
     separation: float
-    density: float
+    quartic: float
 
     def __post_init__(self):
-        if not (self.quartic > 0.0 and self.frequency > 0.0 and self.separation > 0.0):
-            raise ParameterError("quartic, frequency, and separation must be positive")
-        freq = 2.0 * self.separation * math.sqrt(2.0 * self.quartic)
-        dens = _instanton_density(self.frequency, self.quartic)
-        if abs(freq - self.frequency) > 1e-9 * max(1.0, self.frequency):
-            raise ParameterError("frequency inconsistent with separation and quartic")
-        if abs(dens - self.density) > 1e-9 * max(1.0, dens):
-            raise ParameterError("density inconsistent with frequency and quartic")
-
-    @classmethod
-    def from_well(cls, separation: float, quartic: float) -> "InstantonParams":
-        if not (separation > 0.0 and quartic > 0.0):
+        if not (self.separation > 0.0 and self.quartic > 0.0):
             raise ParameterError("separation and quartic must be positive")
-        frequency = 2.0 * separation * math.sqrt(2.0 * quartic)
-        return cls(
-            quartic=quartic,
-            frequency=frequency,
-            separation=separation,
-            density=_instanton_density(frequency, quartic),
-        )
 
     @classmethod
     def from_frequency(cls, frequency: float, quartic: float) -> "InstantonParams":
         if not (frequency > 0.0 and quartic > 0.0):
             raise ParameterError("frequency and quartic must be positive")
-        return cls.from_well(frequency / (2.0 * math.sqrt(2.0 * quartic)), quartic)
+        return cls(frequency / (2.0 * math.sqrt(2.0 * quartic)), quartic)
+
+    @property
+    def frequency(self) -> float:
+        """Harmonic frequency at each minimum."""
+        return 2.0 * self.separation * math.sqrt(2.0 * self.quartic)
+
+    @property
+    def density(self) -> float:
+        """Density of tunneling events."""
+        frequency = self.frequency
+        # the exponent overflows for vanishing quartic coupling; exp then
+        # underflows to zero and the gap closes, which is the correct limit
+        barrier = frequency**3 / (12.0 * self.quartic)
+        if barrier > 700.0:
+            return 0.0
+        return math.sqrt(frequency**3 / (2.0 * math.pi * self.quartic)) * math.exp(-barrier)
 
     @property
     def gap(self) -> float:
         """Ground-state splitting produced by tunneling."""
         return 2.0 * self.frequency * self.density
-
-
-def _instanton_density(frequency: float, quartic: float) -> float:
-    # the exponent overflows for vanishing quartic coupling; exp then
-    # underflows to zero and the gap closes, which is the correct limit
-    barrier = frequency**3 / (12.0 * quartic)
-    if barrier > 700.0:
-        return 0.0
-    return math.sqrt(frequency**3 / (2.0 * math.pi * quartic)) * math.exp(-barrier)
 
 
 def instanton_phases(params: InstantonParams, s: float) -> tuple[float, float]:

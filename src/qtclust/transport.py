@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, ParameterError
-from .graph import _readonly
 from .spectral import EigenSystem, GapReport
 
 UNDERFLOW_FLOOR = 1e-300
@@ -35,19 +34,6 @@ class LaplaceParams:
             raise ParameterError("multiplier must be a positive finite number")
 
 
-@dataclass(frozen=True)
-class WavePhaseField:
-    """Laplace-transformed wave function started at one node, plus its phases."""
-
-    init_node: int
-    amplitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _readonly(np.asarray(self.amplitudes, dtype=complex)))
-        object.__setattr__(self, "phases", _readonly(np.asarray(self.phases, dtype=float)))
-
-
 def select_s(gaps: GapReport, params: LaplaceParams) -> float:
     """Resolve the damping rate from gap diagnostics and a selection rule."""
     if params.rule == "explicit":
@@ -59,21 +45,6 @@ def select_s(gaps: GapReport, params: LaplaceParams) -> float:
             "pass LaplaceParams(rule='explicit', multiplier=s) instead"
         )
     return float(params.multiplier * gap)
-
-
-def laplace_wavefunction(eig: EigenSystem, init_node: int, s: float) -> WavePhaseField:
-    """Transform of the evolution started at ``init_node``, damped at rate s.
-
-    Evaluates the spectral sum over all modes with weights 1/(s + i E_n),
-    which equals the solution of (s I + i H) psi = e_j.  This is the
-    one-column case of :func:`laplace_amplitudes`.
-    """
-    amplitudes = laplace_amplitudes(eig, [init_node], s)[:, 0]
-    return WavePhaseField(
-        init_node=int(init_node),
-        amplitudes=amplitudes,
-        phases=phase_field(amplitudes),
-    )
 
 
 def laplace_amplitudes(eig: EigenSystem, init_nodes, s: float) -> np.ndarray:

@@ -23,8 +23,8 @@ from qtclust import (
     gen_tetrahedron,
     instanton_phases,
     jsd_matrix,
+    laplace_amplitudes,
     laplace_similarity,
-    laplace_wavefunction,
     majority_partition,
     partitions_equivalent,
     quantile_proximity,
@@ -125,13 +125,13 @@ def test_criterion_5_resolvent_oracle():
         graph, eig = random_geometric_graph(seed=300 + trial, m=m)
         j = int(rng.integers(m))
         s = float(rng.uniform(0.05, 2.0))
-        wave = laplace_wavefunction(eig, j, s)
+        amplitudes = laplace_amplitudes(eig, [j], s)[:, 0]
         unit = np.zeros(m)
         unit[j] = 1.0
         operator = s * np.eye(m) + 1j * graph.hamiltonian
         direct = np.linalg.solve(operator, unit)
-        worst_solve = max(worst_solve, float(np.abs(wave.amplitudes - direct).max()))
-        worst_residual = max(worst_residual, float(np.abs(operator @ wave.amplitudes - unit).max()))
+        worst_solve = max(worst_solve, float(np.abs(amplitudes - direct).max()))
+        worst_residual = max(worst_residual, float(np.abs(operator @ amplitudes - unit).max()))
     _verdict(5, f"spectral sum vs direct solve, max dev {worst_solve:.2e} <= 1e-9", worst_solve <= 1e-9)
     _verdict(5, f"defining-equation residual {worst_residual:.2e} <= 1e-9", worst_residual <= 1e-9)
 

@@ -11,7 +11,7 @@ from qtclust.cli import main
 from qtclust.io import load_labels_csv, load_matrix_csv
 
 import qtclust
-from qtclust import InputError, gen_annuli, gen_gaussian_clouds, gen_sticks, gen_tetrahedron
+from qtclust import InputError, gen_annuli, gen_gaussian_clouds, gen_sticks, gen_tetrahedron, load_timeseries
 from qtclust.io import save_points_csv
 
 
@@ -163,17 +163,11 @@ def test_kernel_s_zero_exits_2(tmp_path, clouds_csv, capsys):
     assert "multiplier must be a positive finite number" in capsys.readouterr().err
 
 
-def test_consensus_rejects_summary_option(tmp_path, clouds_csv):
-    argv = ["consensus", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--summary", "majority"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path / "c")])
-    assert exc.value.code == 2
-    assert not (tmp_path / "c").exists()
-
-
 def test_consensus_cmd(tmp_path, clouds_csv):
     out = tmp_path / "c"
-    assert main(["consensus", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--out", str(out)]) == 0
+    argv = ["cluster", "--summary", "consensus", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["consensus.csv", "report.json", "run.json"]
     c = load_matrix_csv(out / "consensus.csv")
     assert np.array_equal(np.diag(c), np.ones(120))
     assert c.min() >= 0.0 and c.max() <= 1.0
@@ -246,6 +240,59 @@ def test_non_integer_label_cell_exits_2(tmp_path, capsys):
     assert f"{path}, line 3" in capsys.readouterr().err
 
 
+# unreadable inputs: bytes that are not UTF-8, a cell over csv's field size limit, a directory
+_UNREADABLE = {
+    "non-utf8": (b"x0,x1\n0,0\n1,\xff\n", "is not UTF-8 text"),
+    "long-cell": (b"x0,x1\n0,0\n1," + b"1" * 131073 + b"\n", "line 3: field larger than field limit"),
+    "directory": (None, "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE))
+def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    content, message = _UNREADABLE[case]
+    path = tmp_path / "points.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "o"
+    assert main(["eigen", "--input", str(path), "--eps", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "loader, header",
+    [(load_labels_csv, b"node_index,label\n0,0\n"), (load_matrix_csv, b"0,1\n"), (load_timeseries, b"date,price_a,price_b\n")],
+    ids=["labels", "matrix", "timeseries"],
+)
+def test_loaders_reject_non_utf8_bytes(tmp_path, loader, header):
+    path = tmp_path / "in.csv"
+    path.write_bytes(header + b"\xff\xfe,1\n")
+    with pytest.raises(InputError, match=f"{path.name} is not UTF-8 text"):
+        loader(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "--input", "POINTS", "--eps", "0.1"],
+        ["experiment", "outlier-sweep"],
+        ["gen", "--kind", "tetrahedron"],
+    ],
+)
+@pytest.mark.parametrize("target", ["FILE", "FILE/sub"])
+def test_out_naming_a_file_exits_2(tmp_path, clouds_csv, capsys, argv, target):
+    (tmp_path / "FILE").write_text("keep\n")
+    out = tmp_path / target
+    argv = [str(clouds_csv) if a == "POINTS" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"cannot create output directory {tmp_path / 'FILE'}" in capsys.readouterr().err
+    assert (tmp_path / "FILE").read_text() == "keep\n"
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -293,7 +340,7 @@ _EXPERIMENT_KEYS = {"command", "name", "out", "seed"}
         (["eigen", *_GRAPH], _GRAPH_KEYS | {"q"}),
         (["phases", "--init-node", "0", *_GRAPH], _GRAPH_KEYS | {"init_node", "q", "s_rule", "s_mult"}),
         (["cluster", "--q", "3", "--m-prime", "10", *_GRAPH], _ENSEMBLE_KEYS),
-        (["consensus", "--q", "3", "--m-prime", "10", *_GRAPH], _ENSEMBLE_KEYS),
+        (["cluster", "--summary", "consensus", "--q", "3", "--m-prime", "10", *_GRAPH], _ENSEMBLE_KEYS),
         (["spectral", "--q", "3", *_GRAPH], _GRAPH_KEYS | {"seed", "q", "normalization"}),
         (["kernel", "--kind", "P", *_GRAPH], _GRAPH_KEYS | {"kind"}),
         (["experiment", "spectrum-count", "--n-per", "10"], _EXPERIMENT_KEYS | {"sigma", "eps", "n_per"}),
@@ -369,7 +416,7 @@ def test_explicit_s_reaches_run_json(tmp_path, clouds_csv, argv):
         (["eigen", *_GRAPH, "--q", "0"], "--q"),
         (["phases", "--init-node", "0", "--input", "POINTS", "--eps", "0.3", "--q", "-5"], "--q"),
         (["cluster", *_GRAPH, "--q", "0"], "--q"),
-        (["consensus", *_GRAPH, "--q", "-1"], "--q"),
+        (["cluster", "--summary", "consensus", *_GRAPH, "--q", "-1"], "--q"),
         (["spectral", *_GRAPH, "--q", "0"], "--q"),
         (["gen", "--kind", "tetrahedron", "--q", "0"], "--q"),
         (["experiment", "eps-sweep", "--input", "POINTS", "--eps-grid", "0.1", "--q", "0"], "--q"),

@@ -45,7 +45,7 @@ COMMANDS = {
     "eigen": {**GRAPH, "--q": ["2", "3", "40"]},
     "phases": {**GRAPH, "--q": ["2", "3"], "--init-node": ["0", "17", "18"], **S_OPTIONS},
     "cluster": {**ENSEMBLE, "--summary": ["majority", "consensus", "both"]},
-    "consensus": ENSEMBLE,
+    "cluster --summary consensus": ENSEMBLE,
     "spectral": {**GRAPH, "--seed": ["0"], "--q": ["1", "3", "40"], "--normalization": ["none", "approach1", "approach2"]},
     "kernel": {**GRAPH, "--kind": ["P", "S", "jsd"], **S_OPTIONS},
     "experiment two-cloud": {

@@ -11,9 +11,10 @@ from qtclust import (
     gen_gaussian_clouds,
     labels_circle_clustering,
     labels_direct_difference,
-    laplace_wavefunction,
+    laplace_amplitudes,
     majority_partition,
     partitions_equivalent,
+    phase_field,
     run_qtc,
     build_graph,
 )
@@ -257,7 +258,7 @@ def test_run_qtc_matches_per_column_reference(monkeypatch, method):
     col_seeds = rng.integers(0, 2**63 - 1, size=m_prime)
     expected = np.empty((m, m_prime), dtype=int)
     for k in range(m_prime):
-        phases = laplace_wavefunction(eig, int(init_nodes[k]), s).phases
+        phases = phase_field(laplace_amplitudes(eig, [init_nodes[k]], s)[:, 0])
         if method == "circle":
             expected[:, k] = labels_circle_clustering(phases, 3, int(col_seeds[k]))
         else:

@@ -67,10 +67,13 @@ def test_scaling_by_a_power_of_two_changes_only_the_bandwidth(name, seed, k):
         assert eigendecompose(gb.hamiltonian).energies.tobytes() == eigendecompose(ga.hamiltonian).energies.tobytes()
         return
     b = qtc(scaled, eps, 3, m_prime=20, seed=seed)
-    assert b.graph.proximity == a.graph.proximity * 2.0**k
-    assert b.graph.hamiltonian.tobytes() == a.graph.hamiltonian.tobytes()
-    assert b.eig.energies.tobytes() == a.eig.energies.tobytes()
-    assert b.eig.modes.tobytes() == a.eig.modes.tobytes()
+    ga, gb = build_graph(points, eps), build_graph(scaled, eps)
+    ea, eb = eigendecompose(ga.hamiltonian), eigendecompose(gb.hamiltonian)
+    assert a.r_eps == ga.proximity
+    assert b.r_eps == a.r_eps * 2.0**k
+    assert gb.hamiltonian.tobytes() == ga.hamiltonian.tobytes()
+    assert eb.energies.tobytes() == ea.energies.tobytes()
+    assert eb.modes.tobytes() == ea.modes.tobytes()
     assert b.s == a.s
     assert np.array_equal(b.labels, a.labels)
     assert b.consensus.tobytes() == a.consensus.tobytes()

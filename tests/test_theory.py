@@ -13,7 +13,8 @@ from qtclust import (
     eigendecompose,
     gen_gaussian_clouds,
     instanton_phases,
-    laplace_wavefunction,
+    laplace_amplitudes,
+    phase_field,
     predicted_phases,
     resolvent_exact,
     tight_binding,
@@ -32,7 +33,7 @@ def disconnected_two_block_graph():
 
 def symmetric_tb(onsite_value, coupling):
     h = np.array([[onsite_value, coupling], [coupling, onsite_value]])
-    return TightBinding(matrix=h, onsite=np.diag(h).copy(), coupling=h - np.diag(np.diag(h)))
+    return TightBinding(matrix=h)
 
 
 def test_orbitals_of_disconnected_blocks_are_eigenvectors():
@@ -95,8 +96,15 @@ def test_tight_binding_two_cloud_weak_coupling():
     assert np.abs(tb.matrix - tb.matrix.T).max() <= 1e-12
 
 
+def test_tight_binding_onsite_and_coupling_split_the_matrix():
+    tb = TightBinding(matrix=[[0.1, -0.02], [-0.02, 0.3]])
+    assert tb.onsite.tolist() == [0.1, 0.3]
+    assert tb.coupling.tolist() == [[0.0, -0.02], [-0.02, 0.0]]
+    assert not tb.matrix.flags.writeable
+
+
 def test_resolvent_single_cluster():
-    tb = TightBinding(matrix=np.array([[0.3]]), onsite=np.array([0.3]), coupling=np.zeros((1, 1)))
+    tb = TightBinding(matrix=np.array([[0.3]]))
     g = resolvent_exact(tb, 2.0)
     assert g[0, 0] == pytest.approx(-1j / 2.0, abs=1e-15)
     theta = predicted_phases(g)
@@ -117,9 +125,7 @@ def test_resolvent_symmetric_two_level_matches_closed_form():
 
 
 def test_born_diagonal_case_exact_at_order_one():
-    tb = TightBinding(
-        matrix=np.diag([0.1, 0.3]), onsite=np.array([0.1, 0.3]), coupling=np.zeros((2, 2))
-    )
+    tb = TightBinding(matrix=np.diag([0.1, 0.3]))
     g1 = born_expansion(tb, 0.5, 1)
     exact = resolvent_exact(tb, 0.5)
     assert np.abs(g1 - exact).max() < 1e-15
@@ -140,7 +146,7 @@ def test_born_first_order_linear_in_coupling():
 
     def tb_with(v):
         h = np.array([[0.0, v], [v, 0.5]])
-        return TightBinding(matrix=h, onsite=np.diag(h).copy(), coupling=h - np.diag(np.diag(h)))
+        return TightBinding(matrix=h)
 
     d_base = born_expansion(tb_with(-1e-3), s, 1)[0, 1]
     d_scaled = born_expansion(tb_with(-2e-3), s, 1)[0, 1]
@@ -172,8 +178,8 @@ def test_disconnected_clusters_phase_structure():
     # empirical phases in the start node's own component sit near zero; the
     # other component's amplitudes underflow to zero and warn
     with pytest.warns(RuntimeWarning):
-        wave = laplace_wavefunction(eig, 0, s)
-    assert np.abs(wave.phases[truth == truth[0]]).max() < 0.05
+        phases = phase_field(laplace_amplitudes(eig, [0], s)[:, 0])
+    assert np.abs(phases[truth == truth[0]]).max() < 0.05
 
 
 def test_two_level_limits_and_frozen_value():
@@ -215,8 +221,10 @@ def test_instanton_frozen_density():
     assert params.gap == pytest.approx(2 * params.density, abs=1e-14)
 
 
-def test_instanton_params_consistency_enforced():
-    good = InstantonParams.from_well(0.25, 1.0)
-    assert good.frequency == pytest.approx(2 * 0.25 * math.sqrt(2.0))
-    with pytest.raises(ParameterError):
-        InstantonParams(quartic=1.0, frequency=1.0, separation=1.0, density=0.1)
+def test_instanton_params_derive_frequency_and_density():
+    params = InstantonParams(0.25, 1.0)
+    assert params.frequency == 2 * 0.25 * math.sqrt(2.0)
+    assert params.density == pytest.approx(InstantonParams.from_frequency(params.frequency, 1.0).density, rel=1e-14)
+    for separation, quartic in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ParameterError):
+            InstantonParams(separation, quartic)

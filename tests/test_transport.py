@@ -10,7 +10,6 @@ from qtclust import (
     eigendecompose,
     gap_stats,
     laplace_amplitudes,
-    laplace_wavefunction,
     phase_field,
     select_s,
 )
@@ -50,18 +49,18 @@ def test_laplace_params_validation():
 
 def test_single_node_scalar_resolvent():
     eig = eigendecompose(np.array([[0.0]]))
-    wave = laplace_wavefunction(eig, 0, 2.5)
-    assert wave.amplitudes[0] == pytest.approx(1 / 2.5)
-    assert wave.phases[0] == 0.0
+    amplitudes = laplace_amplitudes(eig, [0], 2.5)[:, 0]
+    assert amplitudes[0] == pytest.approx(1 / 2.5)
+    assert phase_field(amplitudes)[0] == 0.0
 
 
 def test_two_node_hand_spectral_sum(two_node_eig):
-    wave = laplace_wavefunction(two_node_eig, 0, 2.0)
-    assert wave.amplitudes[0] == pytest.approx(0.375 - 0.125j, abs=1e-15)
-    assert wave.amplitudes[1] == pytest.approx(0.125 + 0.125j, abs=1e-15)
+    amplitudes = laplace_amplitudes(two_node_eig, [0], 2.0)[:, 0]
+    assert amplitudes[0] == pytest.approx(0.375 - 0.125j, abs=1e-15)
+    assert amplitudes[1] == pytest.approx(0.125 + 0.125j, abs=1e-15)
     # cross-check against the direct complex solve
     solved = np.linalg.solve(2.0 * np.eye(2) + 1j * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([1.0, 0.0]))
-    assert np.abs(wave.amplitudes - solved).max() < 1e-12
+    assert np.abs(amplitudes - solved).max() < 1e-12
 
 
 def test_resolvent_identity_random_triples():
@@ -71,29 +70,28 @@ def test_resolvent_identity_random_triples():
         graph, eig = random_geometric_graph(seed + 100, m)
         j = int(rng.integers(m))
         s = float(rng.uniform(0.05, 2.0))
-        wave = laplace_wavefunction(eig, j, s)
+        amplitudes = laplace_amplitudes(eig, [j], s)[:, 0]
         e_j = np.zeros(m)
         e_j[j] = 1.0
         direct = np.linalg.solve(s * np.eye(m) + 1j * graph.hamiltonian, e_j)
-        assert np.abs(wave.amplitudes - direct).max() < 1e-9
-        residual = (s * np.eye(m) + 1j * graph.hamiltonian) @ wave.amplitudes - e_j
+        assert np.abs(amplitudes - direct).max() < 1e-9
+        residual = (s * np.eye(m) + 1j * graph.hamiltonian) @ amplitudes - e_j
         assert np.abs(residual).max() < 1e-9
 
 
 def test_init_node_phase_quadrant():
     for seed in range(5):
         graph, eig = random_geometric_graph(seed + 200, 30)
-        wave = laplace_wavefunction(eig, seed % 30, 0.3)
-        phase = wave.phases[wave.init_node]
+        phase = phase_field(laplace_amplitudes(eig, [seed % 30], 0.3)[:, 0])[seed % 30]
         assert -np.pi / 2 < phase <= 0.0
 
 
 def test_wavefunction_validation():
     _, eig = random_geometric_graph(1, 10)
     with pytest.raises(ParameterError):
-        laplace_wavefunction(eig, 10, 0.5)
+        laplace_amplitudes(eig, [10], 0.5)
     with pytest.raises(ParameterError):
-        laplace_wavefunction(eig, 0, 0.0)
+        laplace_amplitudes(eig, [0], 0.0)
 
 
 def test_phase_field_basic_angles():
@@ -138,7 +136,7 @@ def test_laplace_amplitudes_match_per_column_wavefunction():
         s = float(rng.uniform(0.05, 2.0))
         amps = laplace_amplitudes(eig, init, s)
         for k, j in enumerate(init):
-            column = laplace_wavefunction(eig, int(j), s).amplitudes
+            column = laplace_amplitudes(eig, [j], s)[:, 0]
             assert np.abs(amps[:, k] - column).max() <= 1e-12 * np.abs(column).max()
 
 
@@ -151,8 +149,9 @@ def test_laplace_amplitudes_exact_fallback_below_floor(monkeypatch):
     exact = laplace_amplitudes(eig, init, 0.4)
     assert np.abs(exact - gemm).max() <= 1e-12 * np.abs(gemm).max()
     with pytest.warns(RuntimeWarning, match="underflowed"):
-        wave = laplace_wavefunction(eig, 7, 0.4)
-    assert np.abs(wave.amplitudes - gemm[:, 1]).max() <= 1e-12 * np.abs(gemm).max()
+        column = laplace_amplitudes(eig, [7], 0.4)[:, 0]
+        phase_field(column)
+    assert np.abs(column - gemm[:, 1]).max() <= 1e-12 * np.abs(gemm).max()
 
 
 def test_laplace_amplitudes_validation():
