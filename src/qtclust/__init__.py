@@ -61,7 +61,6 @@ from .pipeline import QTCResult, build_graph, qtc
 from .spectral import EigenSystem, GapReport, count_low_energy, eigendecompose, gap_stats
 from .theory import (
     InstantonParams,
-    TightBinding,
     born_expansion,
     cluster_orbitals,
     instanton_phases,
@@ -129,7 +128,6 @@ __all__ = [
     "select_s",
     "spectral_cluster",
     "spectral_embedding",
-    "TightBinding",
     "tight_binding",
     "transition_kernel",
     "two_cluster_outlier_distances",

@@ -40,7 +40,8 @@ def _json_default(obj):
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    path.write_text(json.dumps(payload, indent=2, default=_json_default, sort_keys=True) + "\n")
+    with io.open_for_writing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, default=_json_default, sort_keys=True) + "\n")
 
 
 def _make_dir(path: Path) -> Path:

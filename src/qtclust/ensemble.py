@@ -39,10 +39,6 @@ class LabelMatrix:
         object.__setattr__(self, "init_nodes", _readonly(init))
 
     @property
-    def m(self) -> int:
-        return self.omega.shape[0]
-
-    @property
     def n_init(self) -> int:
         return self.omega.shape[1]
 
@@ -56,24 +52,23 @@ class PartitionTally:
 
 
 def canonical_relabel(labels: np.ndarray) -> np.ndarray:
-    """Rename labels to 0,1,... in order of first appearance."""
-    lab = np.asarray(labels, dtype=int)
-    return _canonical_rows(lab.reshape(1, -1))[0]
+    """Rename labels to 0,1,... in order of first appearance.
 
-
-def _canonical_rows(block: np.ndarray) -> np.ndarray:
-    """``canonical_relabel`` of every row of a 2-D integer array.
-
-    Sorting each row gathers equal labels into runs, and the smallest
-    position in a run is that label's first appearance.  The runs of all
-    rows sit in one flat array, row after row, so a single sort of the first
-    appearances ranks the labels of every row at once.  Works for any
-    integer labels.
+    Takes one label vector or a block with one vector per row, and returns
+    the same shape, every row renamed on its own.  Sorting each row gathers
+    equal labels into runs, and the smallest position in a run is that
+    label's first appearance.  The runs of all rows sit in one flat array,
+    row after row, so a single sort of the first appearances ranks the
+    labels of every row at once.  Works for any integer labels.
     """
+    lab = np.asarray(labels, dtype=int)
+    if lab.ndim not in (1, 2):
+        raise ParameterError("labels must be one vector or a block with one vector per row")
+    block = np.atleast_2d(lab)
     rows, n = block.shape
     size = rows * n
     if size == 0:
-        return np.zeros(block.shape, dtype=np.intp)
+        return np.zeros(lab.shape, dtype=np.intp)
     row_start = np.arange(0, size, n)
     order = np.argsort(block, axis=1)
     order += row_start[:, None]
@@ -91,22 +86,19 @@ def _canonical_rows(block: np.ndarray) -> np.ndarray:
     rank[np.argsort(first)] = np.arange(runs.size) - np.searchsorted(runs, row_start)[runs // n]
     out = np.empty(size, dtype=np.intp)
     out[order] = np.repeat(rank, np.diff(runs, append=size))
-    return out.reshape(rows, n)
+    return out.reshape(lab.shape)
 
 
 def _block_width(m: int) -> int:
-    """Columns per block so that ~64 bytes per entry fit in ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (64 * max(m, 1)))
+    """Columns per block so that ~128 bytes per entry (gap cuts take ~80) fit in ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (128 * max(m, 1)))
 
 
 def _canonical_blocks(cols: np.ndarray):
-    """Yield ``(lo, canon)`` over column blocks of an m x n integer matrix.
-
-    Row j of ``canon`` is ``canonical_relabel(cols[:, lo + j])``.
-    """
+    """Yield the canonical relabelings of an m x n matrix's columns, one row per column, a block at a time."""
     width = _block_width(cols.shape[0])
     for lo in range(0, cols.shape[1], width):
-        yield lo, _canonical_rows(np.ascontiguousarray(cols[:, lo : lo + width].T))
+        yield canonical_relabel(np.ascontiguousarray(cols[:, lo : lo + width].T))
 
 
 def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
@@ -123,7 +115,7 @@ def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
         raise ParameterError("label vectors must not be empty")
     if q < 1 or min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= q:
         raise ParameterError(f"labels must lie in [0, {q})")
-    canon = _canonical_rows(np.stack([a, b]))
+    canon = canonical_relabel(np.stack([a, b]))
     return np.array_equal(canon[0], canon[1])
 
 
@@ -139,9 +131,9 @@ def run_qtc(
 
     Start nodes are drawn uniformly without replacement.  Column k holds the
     labels derived from the phase field of the wave function started at
-    ``init_nodes[k]``.  The wave functions are computed a block of start
-    nodes at a time by :func:`laplace_amplitudes`, one GEMM per block, and
-    each column is then labeled on its own.  Fully deterministic for a fixed
+    ``init_nodes[k]``.  Each block of start nodes takes one GEMM in
+    :func:`laplace_amplitudes`, one :func:`phase_field` call and one labeler
+    call, with one phase field per row.  Fully deterministic for a fixed
     seed.
     """
     m = eig.size
@@ -149,8 +141,6 @@ def run_qtc(
         m_prime = min(m, 100)
     if not 1 <= m_prime <= m:
         raise ParameterError(f"m_prime must be between 1 and {m}, got {m_prime}")
-    if not 1 <= q <= m:
-        raise ParameterError(f"q must be between 1 and {m}, got {q}")
     if method not in LABEL_METHODS:
         raise ParameterError(f"method must be one of {LABEL_METHODS}, got {method!r}")
     rng = np.random.default_rng(seed)
@@ -159,14 +149,13 @@ def run_qtc(
     omega = np.empty((m, m_prime), dtype=int)
     width = _block_width(m)
     for lo in range(0, m_prime, width):
-        amplitudes = laplace_amplitudes(eig, init_nodes[lo : lo + width], s)
-        for j in range(amplitudes.shape[1]):
-            k = lo + j
-            phases = phase_field(amplitudes[:, j])
-            if method == "circle":
-                omega[:, k] = labels_circle_clustering(phases, q, int(col_seeds[k]))
-            else:
-                omega[:, k] = labels_direct_difference(phases, q)
+        cols = slice(lo, lo + width)
+        # one phase field per row, C-contiguous, so each row's sort reads contiguous memory
+        phases = np.ascontiguousarray(phase_field(laplace_amplitudes(eig, init_nodes[cols], s).T))
+        if method == "circle":
+            omega[:, cols] = labels_circle_clustering(phases, q, col_seeds[cols]).T
+        else:
+            omega[:, cols] = labels_direct_difference(phases, q).T
     return LabelMatrix(omega=omega, init_nodes=init_nodes)
 
 
@@ -185,11 +174,9 @@ def majority_partition(omega: LabelMatrix, q: int):
         raise ParameterError(f"labels must lie in [0, {q})")
     rep_of: dict[bytes, int] = {}
     members: dict[int, list[int]] = {}
-    for lo, canon in _canonical_blocks(cols):
-        for j, row in enumerate(canon):
-            k = lo + j
-            rep = rep_of.setdefault(row.tobytes(), k)
-            members.setdefault(rep, []).append(k)
+    for k, row in enumerate(row for canon in _canonical_blocks(cols) for row in canon):
+        rep = rep_of.setdefault(row.tobytes(), k)
+        members.setdefault(rep, []).append(k)
     weights = {rep: len(group) / m_prime for rep, group in members.items()}
     winner = max(members, key=lambda rep: (weights[rep], -rep))
     tally = PartitionTally(
@@ -213,7 +200,7 @@ def consensus_matrix(omega: LabelMatrix) -> np.ndarray:
     step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))  # labels per Y block, rows per product tile
     rows = np.arange(m)[:, None]
     counts = np.zeros((m, m))
-    for _, canon in _canonical_blocks(cols):
+    for canon in _canonical_blocks(cols):
         n_labels = canon.max(axis=1) + 1
         lo = 0
         while lo < len(canon):

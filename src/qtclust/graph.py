@@ -66,10 +66,6 @@ class GraphBundle:
         for name in ("degrees", "hamiltonian"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
 
-    @property
-    def m(self) -> int:
-        return self.hamiltonian.shape[0]
-
 
 def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
     """Euclidean distance matrix, bitwise identical to a per-pair norm loop."""
@@ -128,11 +124,8 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
         raise InputError("adjacency must be square")
     if not np.isfinite(a).all():
         raise InputError("adjacency contains non-finite entries")
+    _check_symmetric(a, SYMMETRY_TOL, "adjacency must be symmetric")
     m = a.shape[0]
-    step = _tile_rows(m)
-    for lo in range(0, m, step):
-        if np.abs(a[lo : lo + step] - a[:, lo : lo + step].T).max() > SYMMETRY_TOL:
-            raise InputError("adjacency must be symmetric")
     if a.min() < 0.0:
         raise InputError("adjacency entries must be nonnegative")
     degrees = a.sum(axis=1)
@@ -152,6 +145,14 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
 def _tile_rows(m: int) -> int:
     """Rows per tile so that a tile of an m x m float matrix stays near 1 MiB."""
     return max(1, (1 << 20) // (8 * max(m, 1)))
+
+
+def _check_symmetric(a: np.ndarray, tol: float, message: str) -> None:
+    """Raise ``InputError(message)`` unless |a - a^T| <= tol, checked one tile of rows at a time."""
+    step = _tile_rows(a.shape[0])
+    for lo in range(0, a.shape[0], step):
+        if np.abs(a[lo : lo + step] - a[:, lo : lo + step].T).max() > tol:
+            raise InputError(message)
 
 
 def _symmetrize(h: np.ndarray) -> None:

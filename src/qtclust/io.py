@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ParameterError
 from .graph import PointSet
 
 _FMT = "%.17g"
@@ -23,6 +22,17 @@ _FMT = "%.17g"
 # 0.25 KiB per distinct value, which the allocator keeps resident after the write; at m=600 the
 # JSD kernel's memory peak rose 2 MiB with 8192-entry blocks and 0.3 MiB with 2048.
 _WRITE_BLOCK = 1 << 11
+
+
+@contextmanager
+def open_for_writing(path):
+    """The text file ``path`` opened for writing, as every artifact is; ``ParameterError`` if it cannot be."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def save_table_csv(path, header, columns) -> None:
@@ -34,7 +44,7 @@ def save_table_csv(path, header, columns) -> None:
         [_FMT % v for v in col.tolist()] if col.dtype.kind == "f" else [str(v) for v in col.tolist()]
         for col in map(np.asarray, columns)
     ]
-    with Path(path).open("w", newline="") as fh:
+    with open_for_writing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*cells))
@@ -114,7 +124,7 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
     if arr.ndim != 2:
         raise InputError(f"matrix must be 1-D or 2-D, got shape {arr.shape}")
     n = arr.shape[1]
-    with Path(path).open("w", newline="") as fh:
+    with open_for_writing(path) as fh:
         if n == 0:  # rows without cells are bare newlines
             fh.write("\n" * arr.shape[0])
             return

@@ -1,4 +1,4 @@
-"""Turn one phase field into q discrete labels: gap cuts or k-means on a circle."""
+"""Turn one phase field, or a block of them, into q discrete labels: gap cuts or k-means on a circle."""
 
 from __future__ import annotations
 
@@ -16,46 +16,61 @@ class FragmentationWarning(UserWarning):
     """A cut landed on tied phases and split them by index order."""
 
 
+def _fields(phases, q: int) -> np.ndarray:
+    """``phases`` as rows: one field (1-D) or a block with one field per row (2-D)."""
+    theta = np.asarray(phases, dtype=float)
+    if theta.ndim not in (1, 2):
+        raise ParameterError("phases must be one field or a block with one field per row")
+    if not 1 <= q <= theta.shape[-1]:
+        raise ParameterError(f"q must be between 1 and {theta.shape[-1]}, got {q}")
+    return np.atleast_2d(theta)
+
+
 def labels_direct_difference(phases: np.ndarray, q: int) -> np.ndarray:
     """Label by cutting the sorted phases at the q-1 largest chord gaps.
 
-    Phases are sorted ascending, mapped to unit vectors, and consecutive
-    chord lengths are computed; the q-1 largest (ties broken toward the
-    smaller sorted index) split the sorted order into q contiguous arcs.
-    Chord length is used instead of arc length because it damps small
-    fluctuations relative to genuine jumps.
+    Takes one phase field or a block with one field per row and labels each
+    row on its own, in the shape of ``phases``.  A row's phases are sorted
+    ascending, mapped to unit vectors, and consecutive chord lengths are
+    computed; the q-1 largest (ties broken toward the smaller sorted index)
+    split the sorted order into q contiguous arcs.  Chord length is used
+    instead of arc length because it damps small fluctuations relative to
+    genuine jumps.  One ``FragmentationWarning`` per call names the number
+    of rows cut on tied phases.
     """
-    theta = np.asarray(phases, dtype=float)
-    m = theta.size
-    if not 1 <= q <= m:
-        raise ParameterError(f"q must be between 1 and {m}, got {q}")
+    block = _fields(phases, q)
     if q == 1:
-        return np.zeros(m, dtype=int)
-    order = np.argsort(theta, kind="stable")
-    srt = theta[order]
-    unit = np.column_stack([np.cos(srt), np.sin(srt)])
-    step = unit[1:] - unit[:-1]
-    gaps = np.sqrt((step * step).sum(axis=1))
-    pick = np.lexsort((np.arange(m - 1), -gaps))[: q - 1]
-    if gaps[pick].min() == 0.0:
-        warnings.warn(
-            "cut placed on tied phases; labels split by index order",
-            FragmentationWarning,
-            stacklevel=2,
-        )
-    cuts = np.sort(pick)
-    ranks = np.empty(m, dtype=int)
-    ranks[order] = np.arange(m)
-    return np.searchsorted(cuts, ranks, side="left").astype(int)
+        return np.zeros(np.shape(phases), dtype=int)
+    order = np.argsort(block, axis=1, kind="stable")
+    srt = np.take_along_axis(block, order, axis=1)
+    dx, dy = np.diff(np.cos(srt), axis=1), np.diff(np.sin(srt), axis=1)
+    gaps = np.sqrt(dx * dx + dy * dy)
+    # a stable sort of -gaps keeps equal gaps in sorted-index order
+    pick = np.argsort(-gaps, axis=1, kind="stable")[:, : q - 1]
+    n_tied = int((np.take_along_axis(gaps, pick, axis=1).min(axis=1) == 0.0).sum())
+    if n_tied:
+        message = f"{n_tied} phase field(s) cut on tied phases; labels split by index order"
+        warnings.warn(message, FragmentationWarning, stacklevel=2)
+    # a cut after sorted position i raises the label of every later position by one
+    marks = np.zeros(block.shape, dtype=int)
+    np.put_along_axis(marks, pick + 1, 1, axis=1)
+    labels = np.empty_like(marks)
+    np.put_along_axis(labels, order, marks.cumsum(axis=1), axis=1)
+    return labels.reshape(np.shape(phases))
 
 
-def labels_circle_clustering(phases: np.ndarray, q: int, seed: int) -> np.ndarray:
-    """Label by running k-means on the phases embedded on the unit circle."""
-    theta = np.asarray(phases, dtype=float)
-    if not 1 <= q <= theta.size:
-        raise ParameterError(f"q must be between 1 and {theta.size}, got {q}")
-    circle = np.column_stack([np.cos(theta), np.sin(theta)])
-    return kmeans(circle, q, seed)
+def labels_circle_clustering(phases: np.ndarray, q: int, seed) -> np.ndarray:
+    """Label by k-means on the phases embedded on the unit circle.
+
+    Takes one phase field and an integer ``seed``, or a block with one field
+    per row and one seed per row, and returns labels in the shape of ``phases``.
+    """
+    block = _fields(phases, q)
+    if np.shape(seed) != np.shape(phases)[:-1]:
+        raise ParameterError("need one seed per phase field")
+    circle = np.stack([np.cos(block), np.sin(block)], axis=-1)
+    labels = [kmeans(points, q, row_seed) for points, row_seed in zip(circle, np.reshape(seed, -1).tolist())]
+    return np.array(labels, dtype=int).reshape(np.shape(phases))
 
 
 def kmeans(

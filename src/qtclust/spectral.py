@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ParameterError
-from .graph import _readonly
+from .graph import _check_symmetric, _readonly
 
 # eigenvalues this close to zero are the analytic zero modes of a connected graph
 CLAMP_TOL = 1e-10
@@ -73,8 +73,7 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
         raise InputError("matrix must be square")
     if not np.isfinite(h).all():
         raise InputError("matrix contains non-finite entries")
-    if np.abs(h - h.T).max() > 1e-10:
-        raise InputError("matrix is not symmetric within 1e-10")
+    _check_symmetric(h, 1e-10, "matrix is not symmetric within 1e-10")
     try:
         energies, modes = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

@@ -19,26 +19,6 @@ from .graph import _readonly
 BORN_ORDERS = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class TightBinding:
-    """Projection of the walk generator onto the cluster orbitals: ``matrix`` = diag(onsite) + coupling."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _readonly(np.asarray(self.matrix, dtype=float)))
-
-    @property
-    def onsite(self) -> np.ndarray:
-        """The diagonal of ``matrix``."""
-        return np.diag(self.matrix).copy()
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """``matrix`` with a zero diagonal."""
-        return self.matrix - np.diag(self.onsite)
-
-
 def cluster_orbitals(hamiltonian: np.ndarray, partition: np.ndarray) -> np.ndarray:
     """Ground state of each principal block, embedded with zeros elsewhere.
 
@@ -81,47 +61,49 @@ def cluster_orbitals(hamiltonian: np.ndarray, partition: np.ndarray) -> np.ndarr
     return _readonly(phi)
 
 
-def tight_binding(hamiltonian: np.ndarray, orbitals: np.ndarray) -> TightBinding:
-    """Project the generator onto the orbital subspace: onsite + coupling."""
+def tight_binding(hamiltonian: np.ndarray, orbitals: np.ndarray) -> np.ndarray:
+    """Project the generator onto the orbital subspace.
+
+    Returns the read-only q x q tight-binding matrix: the onsite energies on
+    its diagonal, the couplings between clusters off it.
+    """
     phi = np.asarray(orbitals, dtype=float)
     h = phi.T @ np.asarray(hamiltonian, dtype=float) @ phi
-    return TightBinding(matrix=(h + h.T) / 2.0)
+    return _readonly((h + h.T) / 2.0)
 
 
-def _ground_shift(tb: TightBinding) -> float:
-    # reset the projected ground energy to zero so the dominant resolvent
-    # pole sits where the closed-form phases expect it
-    return float(np.linalg.eigvalsh(tb.matrix)[0])
-
-
-def resolvent_exact(tb: TightBinding, s: float) -> np.ndarray:
-    """(i s - h)^{-1} with the projected spectrum shifted to start at zero."""
+def resolvent_exact(tb: np.ndarray, s: float) -> np.ndarray:
+    """(i s - h)^{-1} of the tight-binding matrix h, shifted so its ground energy, the dominant pole, is zero."""
     if not (np.isfinite(s) and s > 0.0):
         raise ParameterError("s must be a positive finite number")
-    q = tb.matrix.shape[0]
-    shifted = tb.matrix - _ground_shift(tb) * np.eye(q)
+    h = np.asarray(tb, dtype=float)
+    q = h.shape[0]
+    shifted = h - np.linalg.eigvalsh(h)[0] * np.eye(q)
     try:
         return np.linalg.inv(1j * s * np.eye(q) - shifted)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent inversion failed: {exc}") from None
 
 
-def born_expansion(tb: TightBinding, s: float, order: int) -> np.ndarray:
+def born_expansion(tb: np.ndarray, s: float, order: int) -> np.ndarray:
     """Tunneling-path expansion of the resolvent up to ``order`` powers of the coupling.
 
-    Partial sums of g0 + g0 v g0 + g0 v g0 v g0 + ... evaluated at z = i s with
-    the same ground-energy shift as the exact resolvent.  Divergence for
-    strong coupling shows up as a large residual rather than an error.
+    The onsite energies are the diagonal of the tight-binding matrix ``tb``
+    and the coupling v is the rest.  Partial sums of g0 + g0 v g0 +
+    g0 v g0 v g0 + ... evaluated at z = i s with the same ground-energy shift
+    as the exact resolvent.  Divergence for strong coupling shows up as a
+    large residual rather than an error.
     """
     if order not in BORN_ORDERS:
         raise ParameterError(f"order must be one of {BORN_ORDERS}, got {order}")
     if not (np.isfinite(s) and s > 0.0):
         raise ParameterError("s must be a positive finite number")
-    onsite = tb.onsite - _ground_shift(tb)
+    h = np.asarray(tb, dtype=float)
+    onsite = np.diag(h) - np.linalg.eigvalsh(h)[0]
     g0 = 1.0 / (1j * s - onsite)
     total = np.diag(g0)
     term = np.diag(g0)
-    v_g0 = tb.coupling * g0[None, :]
+    v_g0 = (h - np.diag(np.diag(h))) * g0[None, :]
     for _ in range(order):
         term = term @ v_g0
         total = total + term

@@ -78,7 +78,10 @@ def laplace_amplitudes(eig: EigenSystem, init_nodes, s: float) -> np.ndarray:
 
 
 def phase_field(amplitudes: np.ndarray) -> np.ndarray:
-    """Complex arguments in (-pi, pi] of a vector of amplitudes."""
+    """Complex arguments in (-pi, pi] of one field of amplitudes, or of a block with one field per row.
+
+    One warning per call names the number of amplitudes below ``UNDERFLOW_FLOOR``.
+    """
     amp = np.asarray(amplitudes, dtype=complex)
     n_tiny = int(np.count_nonzero(np.abs(amp) < UNDERFLOW_FLOOR))
     if n_tiny:

@@ -118,6 +118,29 @@ def matrix_csv_oracle(matrix):
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in arr).encode()
 
 
+def direct_difference_oracle(phases, q):
+    """Gap-cut labels of one phase field, and whether a cut fell on a zero gap.
+
+    The reference for each row of ``labeling.labels_direct_difference``: the
+    q-1 largest chord gaps are picked by ``lexsort``, ties toward the smaller
+    sorted index, and each node's label counts the cuts before its rank.
+    """
+    theta = np.asarray(phases, dtype=float)
+    m = theta.size
+    if q == 1:
+        return np.zeros(m, dtype=int), False
+    order = np.argsort(theta, kind="stable")
+    srt = theta[order]
+    unit = np.column_stack([np.cos(srt), np.sin(srt)])
+    step = unit[1:] - unit[:-1]
+    gaps = np.sqrt((step * step).sum(axis=1))
+    pick = np.lexsort((np.arange(m - 1), -gaps))[: q - 1]
+    cuts = np.sort(pick)
+    ranks = np.empty(m, dtype=int)
+    ranks[order] = np.arange(m)
+    return np.searchsorted(cuts, ranks, side="left").astype(int), bool(gaps[pick].min() == 0.0)
+
+
 def kmeans_oracle(points, k, seed, n_restarts=10, max_iter=300, tol=1e-6):
     """k-means restarts run one after another: the reference for ``labeling.kmeans``.
 

@@ -294,6 +294,22 @@ def test_out_naming_a_file_exits_2(tmp_path, clouds_csv, capsys, argv, target):
 
 
 @pytest.mark.parametrize(
+    "argv, artifact",
+    [
+        (["gen", "--kind", "tetrahedron", "--out", "OUT/d.csv"], "d.csv"),
+        (["eigen", "--input", "POINTS", "--eps", "0.1", "--out", "OUT"], "eigen.json"),
+        (["cluster", "--input", "POINTS", "--eps", "0.3", "--q", "3", "--out", "OUT"], "consensus.csv"),
+    ],
+    ids=["gen", "eigen", "cluster"],
+)
+def test_directory_at_an_artifact_path_exits_2(tmp_path, clouds_csv, capsys, argv, artifact):
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    argv = [str(clouds_csv) if a == "POINTS" else a.replace("OUT", str(tmp_path / "out")) for a in argv]
+    assert main(argv) == 2
+    assert f"cannot write {tmp_path / 'out' / artifact}: Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "rows",
     [
         ["0,1", "2,0"],  # gap in the indices

@@ -85,6 +85,14 @@ def test_canonical_relabel_wide_label_span():
     assert np.array_equal(canonical_relabel([500, 500, -100, 7, -100]), [0, 0, 1, 2, 1])
 
 
+def test_canonical_relabel_blocks_and_shapes():
+    assert np.array_equal(canonical_relabel([[2, 2, 0], [5, 1, 5]]), [[0, 0, 1], [0, 1, 0]])
+    assert canonical_relabel(np.zeros((3, 0), dtype=int)).shape == (3, 0)
+    assert canonical_relabel([]).shape == (0,)
+    with pytest.raises(ParameterError):
+        canonical_relabel(np.zeros((2, 2, 2), dtype=int))
+
+
 def test_consensus_single_column():
     omega = LabelMatrix(omega=np.array([[0], [0], [1]]), init_nodes=[0])
     expected = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -230,13 +238,13 @@ def test_ensemble_blocks_do_not_change_results(monkeypatch, columns_per_block):
     rng = np.random.default_rng(6)
     omega_arr = rng.integers(0, 3, size=(20, 40))
     omega_arr[:, 20:] = omega_arr[:, :20]
-    omega_arr[:, 7] = np.arange(20) % 10  # more labels than a one-hot block holds at one column per block
+    omega_arr[:, 7] = np.arange(20)  # more labels than a one-hot block holds at one column per block
     omega = LabelMatrix(omega=omega_arr, init_nodes=np.arange(40))
-    ref_labels, ref_tally = majority_partition(omega, 10)
+    ref_labels, ref_tally = majority_partition(omega, 20)
     ref_consensus = consensus_matrix(omega)
-    # 64 bytes per entry and 20 rows; a one-hot block then holds 8 * columns_per_block labels
-    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 20 * columns_per_block)
-    labels, tally = majority_partition(omega, 10)
+    # 128 bytes per entry and 20 rows; a one-hot block then holds 16 * columns_per_block labels
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * 20 * columns_per_block)
+    labels, tally = majority_partition(omega, 20)
     assert np.array_equal(labels, ref_labels)
     assert tally == ref_tally
     assert tally.classes == pairwise_grouping(omega_arr)
@@ -251,7 +259,7 @@ def test_run_qtc_matches_per_column_reference(monkeypatch, method):
     eig = eigendecompose(graph.hamiltonian)
     m, m_prime, s, seed = 36, 25, 0.02, 11
     # seven start nodes per block, so the 25 columns span four blocks
-    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * m * 7)
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * m * 7)
     omega = run_qtc(eig, s, 3, m_prime=m_prime, seed=seed, method=method)
     rng = np.random.default_rng(seed)
     init_nodes = rng.choice(m, size=m_prime, replace=False)

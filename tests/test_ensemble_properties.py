@@ -15,12 +15,18 @@ from conftest import fingerprint_equivalent, pairwise_grouping, permutation_equi
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_canonical_relabel_matches_first_appearance_oracle(data):
-    # a few values drawn from the whole int64 range, repeated along the row
+    # a few values drawn from the whole int64 range, repeated along each row
     pool = data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=6))
-    labels = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
-    names = {}
-    expected = [names.setdefault(v, len(names)) for v in labels]
-    assert canonical_relabel(np.array(labels)).tolist() == expected
+    n = data.draw(st.integers(1, 40))
+    block = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=1, max_size=5))
+
+    def first_appearance(labels):
+        names = {}
+        return [names.setdefault(v, len(names)) for v in labels]
+
+    expected = [first_appearance(row) for row in block]
+    assert canonical_relabel(np.array(block)).tolist() == expected
+    assert canonical_relabel(np.array(block[0])).tolist() == expected[0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -81,6 +81,30 @@ def test_wraparound_cluster_kept_whole_by_circle_method():
     assert ari(diff, truth) < 1.0
 
 
+def test_circle_clustering_labels_each_row_with_its_seed():
+    rng = np.random.default_rng(8)
+    block = rng.uniform(-np.pi, np.pi, size=(4, 30))
+    seeds = np.array([3, 1, 4, 1])
+    labels = labels_circle_clustering(block, 3, seeds)
+    assert labels.shape == block.shape
+    for row, seed, got in zip(block, seeds, labels):
+        assert np.array_equal(got, labels_circle_clustering(row, 3, int(seed)))
+
+
+def test_labelers_reject_bad_shapes_and_seed_counts():
+    block = np.zeros((2, 5))
+    for bad in (np.zeros((2, 2, 5)), np.float64(0.5)):
+        with pytest.raises(ParameterError):
+            labels_direct_difference(bad, 1)
+        with pytest.raises(ParameterError):
+            labels_circle_clustering(bad, 1, 0)
+    for seeds in (0, [0], [0, 1, 2]):
+        with pytest.raises(ParameterError, match="one seed per phase field"):
+            labels_circle_clustering(block, 2, seeds)
+    with pytest.raises(ParameterError, match="one seed per phase field"):
+        labels_circle_clustering(block[0], 2, [0])
+
+
 def test_kmeans_each_point_own_label():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
     labels = kmeans(pts, 4, seed=0)

@@ -1,4 +1,6 @@
-"""Property tests of the batched k-means against restarts run one after another."""
+"""Property tests of the block labelers and the batched k-means against their per-row oracles."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qtclust import kmeans
+from qtclust import FragmentationWarning, kmeans, labels_direct_difference
 from qtclust.labeling import _lloyd
 
-from conftest import kmeans_oracle, lloyd_oracle
+from conftest import direct_difference_oracle, kmeans_oracle, lloyd_oracle
+
+# phases that tie, sit on the cut at +-pi, or are a signed zero
+PHASE_SPECIALS = [np.pi, -np.pi, 0.0, -0.0, np.nextafter(np.pi, 0.0), 1.0, -2.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_direct_difference_block_matches_per_row_oracle(data):
+    rows = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 12))
+    q = data.draw(st.integers(1, m))
+    phase = st.one_of(st.sampled_from(PHASE_SPECIALS), st.floats(-np.pi, np.pi))
+    block = np.array(data.draw(st.lists(st.lists(phase, min_size=m, max_size=m), min_size=rows, max_size=rows)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = labels_direct_difference(block, q)
+        single = labels_direct_difference(block[0], q)
+    expected = [direct_difference_oracle(row, q) for row in block]
+    assert got.shape == block.shape
+    for k, (labels, _) in enumerate(expected):
+        assert np.array_equal(got[k], labels)
+    assert np.array_equal(single, expected[0][0])
+    # one warning per call that cut tied phases, naming its number of such rows
+    counts = [sum(tied for _, tied in expected), int(expected[0][1])]
+    messages = [str(w.message) for w in caught if w.category is FragmentationWarning]
+    assert messages == [f"{n} phase field(s) cut on tied phases; labels split by index order" for n in counts if n]
 
 
 @st.composite

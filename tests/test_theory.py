@@ -7,7 +7,6 @@ from qtclust import (
     InstantonParams,
     InvalidBlockError,
     ParameterError,
-    TightBinding,
     born_expansion,
     cluster_orbitals,
     eigendecompose,
@@ -32,8 +31,7 @@ def disconnected_two_block_graph():
 
 
 def symmetric_tb(onsite_value, coupling):
-    h = np.array([[onsite_value, coupling], [coupling, onsite_value]])
-    return TightBinding(matrix=h)
+    return np.array([[onsite_value, coupling], [coupling, onsite_value]])
 
 
 def test_orbitals_of_disconnected_blocks_are_eigenvectors():
@@ -81,8 +79,8 @@ def test_tight_binding_disconnected_coupling_is_zero():
     graph, truth = disconnected_two_block_graph()
     orb = cluster_orbitals(graph.hamiltonian, truth)
     tb = tight_binding(graph.hamiltonian, orb)
-    assert np.abs(tb.coupling).max() == 0.0
-    assert np.abs(tb.matrix - tb.matrix.T).max() <= 1e-12
+    assert np.abs(tb - np.diag(np.diag(tb))).max() == 0.0
+    assert np.abs(tb - tb.T).max() <= 1e-12
 
 
 def test_tight_binding_two_cloud_weak_coupling():
@@ -92,19 +90,24 @@ def test_tight_binding_two_cloud_weak_coupling():
     tb = tight_binding(graph.hamiltonian, orb)
     eig = eigendecompose(graph.hamiltonian)
     band = eig.energies[2]  # first intra-cluster excitation
-    assert abs(tb.coupling[0, 1]) < 0.05 * band
-    assert np.abs(tb.matrix - tb.matrix.T).max() <= 1e-12
+    assert abs(tb[0, 1]) < 0.05 * band
+    assert np.abs(tb - tb.T).max() <= 1e-12
 
 
 def test_tight_binding_onsite_and_coupling_split_the_matrix():
-    tb = TightBinding(matrix=[[0.1, -0.02], [-0.02, 0.3]])
-    assert tb.onsite.tolist() == [0.1, 0.3]
-    assert tb.coupling.tolist() == [[0.0, -0.02], [-0.02, 0.0]]
-    assert not tb.matrix.flags.writeable
+    tb = np.array([[0.1, -0.02], [-0.02, 0.3]])
+    onsite, coupling = np.diag(tb), tb - np.diag(np.diag(tb))
+    assert onsite.tolist() == [0.1, 0.3]
+    assert coupling.tolist() == [[0.0, -0.02], [-0.02, 0.0]]
+    # the expansion takes the shifted onsite energies from the diagonal and the coupling from the rest
+    g0 = np.diag(1.0 / (0.2j - (onsite - np.linalg.eigvalsh(tb)[0])))
+    assert np.allclose(born_expansion(tb, 0.2, 1), g0 + g0 @ coupling @ g0, rtol=1e-14, atol=0.0)
+    graph, truth = disconnected_two_block_graph()
+    assert not tight_binding(graph.hamiltonian, cluster_orbitals(graph.hamiltonian, truth)).flags.writeable
 
 
 def test_resolvent_single_cluster():
-    tb = TightBinding(matrix=np.array([[0.3]]))
+    tb = np.array([[0.3]])
     g = resolvent_exact(tb, 2.0)
     assert g[0, 0] == pytest.approx(-1j / 2.0, abs=1e-15)
     theta = predicted_phases(g)
@@ -125,7 +128,7 @@ def test_resolvent_symmetric_two_level_matches_closed_form():
 
 
 def test_born_diagonal_case_exact_at_order_one():
-    tb = TightBinding(matrix=np.diag([0.1, 0.3]))
+    tb = np.diag([0.1, 0.3])
     g1 = born_expansion(tb, 0.5, 1)
     exact = resolvent_exact(tb, 0.5)
     assert np.abs(g1 - exact).max() < 1e-15
@@ -145,8 +148,7 @@ def test_born_first_order_linear_in_coupling():
     s = 0.1
 
     def tb_with(v):
-        h = np.array([[0.0, v], [v, 0.5]])
-        return TightBinding(matrix=h)
+        return np.array([[0.0, v], [v, 0.5]])
 
     d_base = born_expansion(tb_with(-1e-3), s, 1)[0, 1]
     d_scaled = born_expansion(tb_with(-2e-3), s, 1)[0, 1]
