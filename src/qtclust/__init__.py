@@ -17,7 +17,6 @@ from .datasets import (
     radius_proportional_counts,
 )
 from .ensemble import (
-    LabelMatrix,
     PartitionTally,
     canonical_relabel,
     consensus_matrix,
@@ -101,7 +100,6 @@ __all__ = [
     "IsolatedNodeError",
     "jsd_matrix",
     "kmeans",
-    "LabelMatrix",
     "labels_circle_clustering",
     "labels_direct_difference",
     "laplace_amplitudes",

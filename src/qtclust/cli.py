@@ -213,7 +213,7 @@ def cmd_cluster(args) -> None:
     out = _out_dir(args)
     report = {
         "q": args.q,
-        "m_prime": result.omega.n_init,
+        "m_prime": result.init_nodes.size,
         "s": result.s,
         "method": args.label_method,
         "r_eps": result.r_eps,
@@ -226,7 +226,7 @@ def cmd_cluster(args) -> None:
     if result.consensus is not None:
         io.save_matrix_csv(out / "consensus.csv", result.consensus)
     _write_json(out / "report.json", report)
-    _write_run_json(out, args, {"s": result.s, "r_eps": result.r_eps, "init_nodes": result.omega.init_nodes})
+    _write_run_json(out, args, {"s": result.s, "r_eps": result.r_eps, "init_nodes": result.init_nodes})
     print(f"wrote {out / 'report.json'}")
 
 

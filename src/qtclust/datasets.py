@@ -36,18 +36,30 @@ def _per_component_counts(count, n_components: int) -> np.ndarray:
     return counts
 
 
+def _finite_points(blocks, **scales) -> np.ndarray:
+    """Stack blocks computed with overflow ignored; ``ParameterError`` naming ``scales`` if a coordinate overflowed."""
+    points = np.vstack(blocks)
+    if not np.isfinite(points).all():
+        named = ", ".join(f"{name}={value!r}" for name, value in scales.items())
+        raise ParameterError(f"point coordinates overflow at {named}")
+    return points
+
+
 def gen_gaussian_clouds(centers, sigma: float, n_per, seed: int = 0) -> PointSet:
     """Isotropic Gaussian clouds around the given centers."""
     ctr = np.atleast_2d(np.asarray(centers, dtype=float))
     if ctr.shape[0] < 1:
         raise ParameterError("need at least one center")
-    if not sigma > 0.0:
-        raise ParameterError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
+    if not np.isfinite(ctr).all():
+        raise ParameterError(f"centers must be finite, got {ctr.tolist()!r}")
     counts = _per_component_counts(n_per, ctr.shape[0])
     rng = np.random.default_rng(seed)
-    blocks = [c + sigma * rng.standard_normal((n, ctr.shape[1])) for c, n in zip(ctr, counts)]
+    with np.errstate(over="ignore"):
+        blocks = [c + sigma * rng.standard_normal((n, ctr.shape[1])) for c, n in zip(ctr, counts)]
     truth = np.repeat(np.arange(ctr.shape[0]), counts)
-    return PointSet(points=np.vstack(blocks), truth=truth)
+    return PointSet(points=_finite_points(blocks, sigma=sigma), truth=truth)
 
 
 def gen_sticks(
@@ -69,6 +81,9 @@ def gen_sticks(
         raise ParameterError("need at least two sticks")
     if density_profile not in ("uniform", "nonuniform"):
         raise ParameterError(f"unknown density profile {density_profile!r}")
+    for name, value in (("length", length), ("gap", gap), ("jitter", jitter)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
     if length <= 0.0 or gap <= 0.0 or jitter < 0.0:
         raise ParameterError("length and gap must be positive, jitter nonnegative")
     counts = _per_component_counts(n_per, n_sticks)
@@ -81,10 +96,11 @@ def gen_sticks(
             if k % 2 == 1:
                 u = 1.0 - u
         x = u * length
-        y = k * gap + jitter * rng.standard_normal(counts[k])
+        with np.errstate(over="ignore"):
+            y = k * gap + jitter * rng.standard_normal(counts[k])
         blocks.append(np.column_stack([x, y]))
     truth = np.repeat(np.arange(n_sticks), counts)
-    return PointSet(points=np.vstack(blocks), truth=truth)
+    return PointSet(points=_finite_points(blocks, gap=gap, jitter=jitter), truth=truth)
 
 
 def gen_annuli(radii, width: float, counts, seed: int = 0) -> PointSet:

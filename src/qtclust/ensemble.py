@@ -20,30 +20,6 @@ LABEL_METHODS = ("circle", "diff")
 
 
 @dataclass(frozen=True)
-class LabelMatrix:
-    """Per-initialization labels: column k labels every node from start node k."""
-
-    omega: np.ndarray
-    init_nodes: np.ndarray
-
-    def __post_init__(self):
-        om = np.asarray(self.omega, dtype=int)
-        init = np.asarray(self.init_nodes, dtype=int)
-        if om.ndim != 2 or init.shape != (om.shape[1],):
-            raise ParameterError("omega must be m x m' with one init node per column")
-        if om.size == 0:
-            raise ParameterError("omega must have at least one node and one column")
-        if np.unique(init).size != init.size:
-            raise ParameterError("init nodes must be distinct")
-        object.__setattr__(self, "omega", _readonly(om))
-        object.__setattr__(self, "init_nodes", _readonly(init))
-
-    @property
-    def n_init(self) -> int:
-        return self.omega.shape[1]
-
-
-@dataclass(frozen=True)
 class PartitionTally:
     """Equivalence classes of ensemble columns and their vote weights."""
 
@@ -94,13 +70,6 @@ def _block_width(m: int) -> int:
     return max(1, _BLOCK_BYTES // (128 * max(m, 1)))
 
 
-def _canonical_blocks(cols: np.ndarray):
-    """Yield the canonical relabelings of an m x n matrix's columns, one row per column, a block at a time."""
-    width = _block_width(cols.shape[0])
-    for lo in range(0, cols.shape[1], width):
-        yield canonical_relabel(np.ascontiguousarray(cols[:, lo : lo + width].T))
-
-
 def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
     """True iff the two label vectors agree up to a renaming of labels.
 
@@ -126,15 +95,15 @@ def run_qtc(
     m_prime: int | None = None,
     seed: int = 0,
     method: str = "circle",
-) -> LabelMatrix:
-    """Label the graph once per sampled start node.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label the graph once per sampled start node: returns ``(omega, init_nodes)``.
 
-    Start nodes are drawn uniformly without replacement.  Column k holds the
-    labels derived from the phase field of the wave function started at
-    ``init_nodes[k]``.  Each block of start nodes takes one GEMM in
-    :func:`laplace_amplitudes`, one :func:`phase_field` call and one labeler
-    call, with one phase field per row.  Fully deterministic for a fixed
-    seed.
+    Start nodes are drawn uniformly without replacement.  Column k of the
+    read-only m x m' array ``omega`` holds labels in [0, q) derived from the
+    phase field of the wave function started at ``init_nodes[k]``.  Each
+    block of start nodes takes one GEMM in :func:`laplace_amplitudes`, one
+    :func:`phase_field` call and one labeler call, with one phase field per
+    row.  Fully deterministic for a fixed seed.
     """
     m = eig.size
     if m_prime is None:
@@ -156,27 +125,37 @@ def run_qtc(
             omega[:, cols] = labels_circle_clustering(phases, q, col_seeds[cols]).T
         else:
             omega[:, cols] = labels_direct_difference(phases, q).T
-    return LabelMatrix(omega=omega, init_nodes=init_nodes)
+    return _readonly(omega), _readonly(init_nodes)
 
 
-def majority_partition(omega: LabelMatrix, q: int):
-    """Group equivalent columns and return the heaviest partition plus tally.
-
-    Columns are grouped by the bytes of their canonical relabeling, the rule
-    :func:`partitions_equivalent` decides by.  Returns the canonical
-    relabeling of a column from the heaviest class and a PartitionTally keyed
-    by each class's first (lowest) column index.  Weight ties go to the class
-    with the lowest representative index.
-    """
-    cols = omega.omega
-    m_prime = omega.n_init
+def _label_matrix(omega, q: int) -> np.ndarray:
+    """``omega`` as a non-empty m x m' int array of labels in [0, q); ``ParameterError`` otherwise."""
+    cols = np.asarray(omega, dtype=int)
+    if cols.ndim != 2 or cols.size == 0:
+        raise ParameterError("omega must be an m x m' label matrix with at least one node and one column")
     if q < 1 or cols.min() < 0 or cols.max() >= q:
         raise ParameterError(f"labels must lie in [0, {q})")
+    return cols
+
+
+def majority_partition(omega: np.ndarray, q: int):
+    """Group equivalent columns of the m x m' label matrix; return the heaviest partition plus tally.
+
+    Columns are grouped by the bytes of their canonical relabeling, the rule
+    :func:`partitions_equivalent` decides by, relabeled a block of columns at
+    a time.  Returns the canonical relabeling of a column from the heaviest
+    class and a PartitionTally keyed by each class's first (lowest) column
+    index.  Weight ties go to the class with the lowest representative index.
+    """
+    cols = _label_matrix(omega, q)
+    m, m_prime = cols.shape
     rep_of: dict[bytes, int] = {}
     members: dict[int, list[int]] = {}
-    for k, row in enumerate(row for canon in _canonical_blocks(cols) for row in canon):
-        rep = rep_of.setdefault(row.tobytes(), k)
-        members.setdefault(rep, []).append(k)
+    width = _block_width(m)
+    for lo in range(0, m_prime, width):
+        for k, row in enumerate(canonical_relabel(np.ascontiguousarray(cols[:, lo : lo + width].T)), lo):
+            rep = rep_of.setdefault(row.tobytes(), k)
+            members.setdefault(rep, []).append(k)
     weights = {rep: len(group) / m_prime for rep, group in members.items()}
     winner = max(members, key=lambda rep: (weights[rep], -rep))
     tally = PartitionTally(
@@ -186,31 +165,27 @@ def majority_partition(omega: LabelMatrix, q: int):
     return canonical_relabel(cols[:, winner]), tally
 
 
-def consensus_matrix(omega: LabelMatrix) -> np.ndarray:
+def consensus_matrix(omega: np.ndarray, q: int) -> np.ndarray:
     """Fraction of initializations assigning each node pair the same label.
 
-    With Y the one-hot encoding of the canonically relabeled columns, the
-    pair counts are Y Y^T, summed over blocks of Y and row tiles of the
-    product, each bounded by ``_BLOCK_BYTES``.  The counts are exact
-    integers, so the result equals the per-pair count divided by m' bit for
-    bit, for any integer labels.
+    With Y the one-hot encoding of the columns, q entries per column, the
+    pair counts are Y Y^T.  Whole columns go into blocks of Y and the
+    product into row tiles, each bounded by ``_BLOCK_BYTES``.  A pair's
+    count does not depend on how a column names its labels, so no column is
+    relabeled.  The counts are exact integers, so the result equals the
+    per-pair count divided by m' bit for bit.
     """
-    cols = omega.omega
+    cols = _label_matrix(omega, q)
     m, m_prime = cols.shape
-    step = max(1, _BLOCK_BYTES // (8 * max(m, 1)))  # labels per Y block, rows per product tile
+    step = max(1, _BLOCK_BYTES // (8 * m))  # entries per row of a Y block, rows per product tile
+    width = max(1, step // q)  # columns per Y block
     rows = np.arange(m)[:, None]
     counts = np.zeros((m, m))
-    for canon in _canonical_blocks(cols):
-        n_labels = canon.max(axis=1) + 1
-        lo = 0
-        while lo < len(canon):
-            # widest run of columns whose one-hot block fits (at least one column)
-            hi = lo + max(1, int(np.searchsorted(np.cumsum(n_labels[lo:]), step, side="right")))
-            starts = np.cumsum(n_labels[lo:hi]) - n_labels[lo:hi]
-            y = np.zeros((m, int(n_labels[lo:hi].sum())))
-            y[rows, (canon[lo:hi] + starts[:, None]).T] = 1.0
-            for r in range(0, m, step):
-                counts[r : r + step] += y[r : r + step] @ y.T
-            lo = hi
+    for lo in range(0, m_prime, width):
+        block = cols[:, lo : lo + width]
+        y = np.zeros((m, q * block.shape[1]))
+        y[rows, block + q * np.arange(block.shape[1])] = 1.0
+        for r in range(0, m, step):
+            counts[r : r + step] += y[r : r + step] @ y.T
     counts /= m_prime
     return counts

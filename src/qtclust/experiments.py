@@ -51,6 +51,8 @@ def two_cloud_experiment(
     if partition not in ("truth", "qtc"):
         raise ParameterError(f"partition must be 'truth' or 'qtc', got {partition!r}")
     ell = ell_over_sigma * sigma
+    if not np.isfinite(ell):
+        raise ParameterError(f"the cloud offset overflows at sigma={sigma!r}, ell_over_sigma={ell_over_sigma!r}")
     points = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, n_per, seed)
     graph = build_graph(points, r_eps=sigma)
     eig = eigendecompose(graph.hamiltonian)
@@ -63,7 +65,7 @@ def two_cloud_experiment(
     if partition == "truth":
         part = points.truth
     else:
-        omega = run_qtc(eig, s, 2, seed=seed)
+        omega, _ = run_qtc(eig, s, 2, seed=seed)
         part, _ = majority_partition(omega, 2)
     orbitals = cluster_orbitals(graph.hamiltonian, part)
     tb = tight_binding(graph.hamiltonian, orbitals)
@@ -168,7 +170,7 @@ def eps_sweep(
         eig = eigendecompose(build_graph(points, float(eps), dist=dist).hamiltonian)
         try:
             s = select_s(gap_stats(eig, max(q, 2)), laplace)
-            omega = run_qtc(eig, s, q, m_prime=m_prime, seed=seed, method=label_method)
+            omega, _ = run_qtc(eig, s, q, m_prime=m_prime, seed=seed, method=label_method)
             labels, _ = majority_partition(omega, q)
             ari_qtc = ari(labels, points.truth)
         except DegenerateGapError:

@@ -49,7 +49,7 @@ class PointSet:
 
 @dataclass(frozen=True)
 class GraphBundle:
-    """Degrees and the normalized Laplacian of one similarity network.
+    """The normalized Laplacian of one similarity network.
 
     ``hamiltonian`` is the symmetric degree-normalized Laplacian
     I - D^{-1/2} A D^{-1/2}; it generates the quantum walk and shares its
@@ -58,13 +58,11 @@ class GraphBundle:
     (NaN when A came from elsewhere, e.g. a kernel matrix).
     """
 
-    degrees: np.ndarray
     hamiltonian: np.ndarray
     proximity: float = math.nan
 
     def __post_init__(self):
-        for name in ("degrees", "hamiltonian"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "hamiltonian", _readonly(np.asarray(self.hamiltonian, dtype=float)))
 
 
 def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
@@ -113,11 +111,11 @@ def gaussian_adjacency(dist: np.ndarray, r_eps: float) -> np.ndarray:
 
 
 def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundle:
-    """Degrees and the symmetric normalized Laplacian H of an adjacency matrix.
+    """The symmetric normalized Laplacian H of an adjacency matrix A.
 
     H annihilates the sqrt-degree vector, so a connected graph always has a
-    zero mode proportional to sqrt(deg).  The plain Laplacian D - A is not
-    formed; callers that need it build it from ``degrees`` and A.
+    zero mode proportional to sqrt(deg).  Neither the degrees nor the plain
+    Laplacian D - A is kept; callers that need them build them from A.
     """
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -139,7 +137,7 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
     np.subtract(0.0, hamiltonian, out=hamiltonian)
     hamiltonian.flat[:: m + 1] += 1.0
     _symmetrize(hamiltonian)
-    return GraphBundle(degrees=degrees, hamiltonian=hamiltonian, proximity=float(proximity))
+    return GraphBundle(hamiltonian=hamiltonian, proximity=float(proximity))
 
 
 def _tile_rows(m: int) -> int:

@@ -10,6 +10,10 @@ from .errors import ParameterError
 
 # budget of the (restarts, k, n) distance array of one Lloyd batch in kmeans
 _BATCH_BYTES = 16 << 20
+# kmeans restarts, and the Lloyd iteration cap and center-shift tolerance of each
+_N_RESTARTS = 10
+_MAX_ITER = 300
+_TOL = 1e-6
 
 
 class FragmentationWarning(UserWarning):
@@ -73,15 +77,8 @@ def labels_circle_clustering(phases: np.ndarray, q: int, seed) -> np.ndarray:
     return np.array(labels, dtype=int).reshape(np.shape(phases))
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    n_restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> np.ndarray:
-    """Lloyd k-means with k-means++ seeding, best of ``n_restarts`` by WCSS.
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Lloyd k-means with k-means++ seeding, best of ``_N_RESTARTS`` by WCSS.
 
     Deterministic for a fixed seed.  A cluster emptied during iteration is
     re-seeded at the point farthest from its assigned centroid.  All
@@ -98,15 +95,13 @@ def kmeans(
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be between 1 and {n}, got {k}")
-    if n_restarts < 1 or max_iter < 1:
-        raise ParameterError("n_restarts and max_iter must be at least 1")
     if not np.isfinite(x).all():
         raise ParameterError("points contain non-finite coordinates")
     x = np.ascontiguousarray(x)
     rng = np.random.default_rng(seed)
-    centers = np.stack([_kmeans_pp(x, k, rng) for _ in range(n_restarts)])
+    centers = np.stack([_kmeans_pp(x, k, rng) for _ in range(_N_RESTARTS)])
     width = max(1, _BATCH_BYTES // (8 * k * n))
-    batches = [_lloyd(x, centers[lo : lo + width], max_iter, tol) for lo in range(0, n_restarts, width)]
+    batches = [_lloyd(x, centers[lo : lo + width], _MAX_ITER, _TOL) for lo in range(0, _N_RESTARTS, width)]
     labels, wcss = (np.concatenate(parts) for parts in zip(*batches))
     return labels[int(wcss.argmin())]
 

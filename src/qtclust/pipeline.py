@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import LabelMatrix, PartitionTally, consensus_matrix, majority_partition, run_qtc
+from .ensemble import PartitionTally, consensus_matrix, majority_partition, run_qtc
 from .errors import ParameterError
 from .graph import GraphBundle, PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
 from .spectral import GapReport, eigendecompose, gap_stats
@@ -17,12 +17,12 @@ SUMMARIES = ("majority", "consensus", "both")
 
 @dataclass(frozen=True)
 class QTCResult:
-    """What one clustering run produced, with its bandwidth ``r_eps``; H and the modes are not kept."""
+    """What one clustering run produced, with its start nodes and bandwidth ``r_eps``; H and the modes are not kept."""
 
     labels: np.ndarray | None
     tally: PartitionTally | None
     consensus: np.ndarray | None
-    omega: LabelMatrix
+    init_nodes: np.ndarray
     r_eps: float
     gaps: GapReport
     s: float
@@ -64,17 +64,17 @@ def qtc(
     eig = eigendecompose(graph.hamiltonian)
     gaps = gap_stats(eig, max(q, 2))
     s = select_s(gaps, laplace)
-    omega = run_qtc(eig, s, q, m_prime=m_prime, seed=seed, method=label_method)
+    omega, init_nodes = run_qtc(eig, s, q, m_prime=m_prime, seed=seed, method=label_method)
     labels = tally = consensus = None
     if summary in ("majority", "both"):
         labels, tally = majority_partition(omega, q)
     if summary in ("consensus", "both"):
-        consensus = consensus_matrix(omega)
+        consensus = consensus_matrix(omega, q)
     return QTCResult(
         labels=labels,
         tally=tally,
         consensus=consensus,
-        omega=omega,
+        init_nodes=init_nodes,
         r_eps=graph.proximity,
         gaps=gaps,
         s=s,

@@ -83,6 +83,16 @@ def fingerprint_equivalent(a, b):
     return distinct == np.unique(a).size == np.unique(b).size
 
 
+def consensus_oracle(omega_arr):
+    """Per-pair share of columns giving two nodes the same label: the reference for ``ensemble.consensus_matrix``."""
+    m, m_prime = omega_arr.shape
+    oracle = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            oracle[i, j] = sum(omega_arr[i, k] == omega_arr[j, k] for k in range(m_prime)) / m_prime
+    return oracle
+
+
 def pairwise_grouping(omega_arr):
     """Classes by exhaustive pairwise fingerprint equivalence, keyed by the first member."""
     groups = []

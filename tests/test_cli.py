@@ -309,6 +309,34 @@ def test_directory_at_an_artifact_path_exits_2(tmp_path, clouds_csv, capsys, arg
     assert f"cannot write {tmp_path / 'out' / artifact}: Is a directory" in capsys.readouterr().err
 
 
+def test_failed_cluster_run_writes_no_report_and_no_run_json(tmp_path, clouds_csv):
+    # every command writes run.json last, so its absence marks an unfinished run
+    out = tmp_path / "c"
+    (out / "consensus.csv").mkdir(parents=True)
+    assert main(["cluster", "--input", str(clouds_csv), "--eps", "0.3", "--q", "3", "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["experiment", "two-cloud", "--sigma", "inf"], "sigma=inf"),
+        (["experiment", "two-cloud", "--sigma", "1e308"], "sigma=1e+308"),
+        (["gen", "--kind", "tetrahedron", "--sigma", "1e308"], "sigma=1e+308"),
+        (["gen", "--kind", "sticks-uniform", "--jitter", "inf"], "jitter must be finite, got inf"),
+        (["gen", "--kind", "sticks-uniform", "--length", "inf"], "length must be finite, got inf"),
+        (["gen", "--kind", "sticks-nonuniform", "--gap", "1e308"], "gap=1e+308"),
+    ],
+)
+def test_generator_parameters_that_overflow_exit_2_naming_them(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())  # no artifact written
+
+
 @pytest.mark.parametrize(
     "rows",
     [

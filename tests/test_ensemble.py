@@ -3,7 +3,6 @@ import pytest
 
 from qtclust import ensemble
 from qtclust import (
-    LabelMatrix,
     ParameterError,
     canonical_relabel,
     consensus_matrix,
@@ -19,7 +18,7 @@ from qtclust import (
     build_graph,
 )
 
-from conftest import pairwise_grouping, permutation_equivalent
+from conftest import consensus_oracle, pairwise_grouping, permutation_equivalent
 
 
 def test_equivalent_simple_cases():
@@ -68,13 +67,13 @@ def test_equivalent_rejects_empty_columns():
 @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
 def test_majority_rejects_empty_label_matrix(shape):
     with pytest.raises(ParameterError):
-        majority_partition(LabelMatrix(omega=np.zeros(shape, dtype=int), init_nodes=np.arange(shape[1])), 2)
+        majority_partition(np.zeros(shape, dtype=int), 2)
 
 
 @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
 def test_consensus_rejects_empty_label_matrix(shape):
     with pytest.raises(ParameterError):
-        consensus_matrix(LabelMatrix(omega=np.zeros(shape, dtype=int), init_nodes=np.arange(shape[1])))
+        consensus_matrix(np.zeros(shape, dtype=int), 2)
 
 
 def test_canonical_relabel_first_occurrence():
@@ -94,14 +93,12 @@ def test_canonical_relabel_blocks_and_shapes():
 
 
 def test_consensus_single_column():
-    omega = LabelMatrix(omega=np.array([[0], [0], [1]]), init_nodes=[0])
     expected = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.array_equal(consensus_matrix(omega), expected)
+    assert np.array_equal(consensus_matrix(np.array([[0], [0], [1]]), 2), expected)
 
 
 def test_consensus_half_on_disagreement():
-    omega = LabelMatrix(omega=np.array([[0, 0], [0, 1], [1, 1]]), init_nodes=[0, 1])
-    c = consensus_matrix(omega)
+    c = consensus_matrix(np.array([[0, 0], [0, 1], [1, 1]]), 2)
     assert c[0, 1] == 0.5
     assert c[0, 0] == 1.0
 
@@ -109,8 +106,7 @@ def test_consensus_half_on_disagreement():
 def test_consensus_matches_triple_loop_exactly():
     rng = np.random.default_rng(2)
     omega_arr = rng.integers(0, 3, size=(30, 20))
-    omega = LabelMatrix(omega=omega_arr, init_nodes=np.arange(20))
-    c = consensus_matrix(omega)
+    c = consensus_matrix(omega_arr, 3)
     m, m_prime = omega_arr.shape
     oracle = np.zeros((m, m))
     for i in range(m):
@@ -126,18 +122,17 @@ def test_consensus_matches_triple_loop_exactly():
 def test_consensus_invariant_under_column_permutations():
     rng = np.random.default_rng(3)
     omega_arr = rng.integers(0, 3, size=(15, 10))
-    base = consensus_matrix(LabelMatrix(omega=omega_arr, init_nodes=np.arange(10)))
+    base = consensus_matrix(omega_arr, 3)
     shuffled = omega_arr.copy()
     for k in range(10):
         perm = rng.permutation(3)
         shuffled[:, k] = perm[shuffled[:, k]]
-    again = consensus_matrix(LabelMatrix(omega=shuffled, init_nodes=np.arange(10)))
+    again = consensus_matrix(shuffled, 3)
     assert np.array_equal(base, again)
 
 
 def test_majority_all_identical():
-    omega = LabelMatrix(omega=np.tile([[0], [1], [1]], (1, 5)), init_nodes=np.arange(5))
-    labels, tally = majority_partition(omega, 2)
+    labels, tally = majority_partition(np.tile([[0], [1], [1]], (1, 5)), 2)
     assert np.array_equal(labels, [0, 1, 1])
     assert tally.weights == {0: 1.0}
 
@@ -145,8 +140,7 @@ def test_majority_all_identical():
 def test_majority_two_to_one():
     p1 = [0, 0, 1, 1]
     p2 = [0, 1, 0, 1]
-    omega = LabelMatrix(omega=np.column_stack([p1, p1, p2]), init_nodes=np.arange(3))
-    labels, tally = majority_partition(omega, 2)
+    labels, tally = majority_partition(np.column_stack([p1, p1, p2]), 2)
     assert np.array_equal(labels, p1)
     assert tally.weights[0] == pytest.approx(2 / 3)
     assert tally.weights[2] == pytest.approx(1 / 3)
@@ -159,8 +153,7 @@ def test_majority_matches_pairwise_grouping_oracle():
         q = int(rng.integers(2, 5))
         m, m_prime = 10, int(rng.integers(2, 8))
         omega_arr = rng.integers(0, q, size=(m, m_prime))
-        omega = LabelMatrix(omega=omega_arr, init_nodes=np.arange(m_prime))
-        _, tally = majority_partition(omega, q)
+        _, tally = majority_partition(omega_arr, q)
         assert tally.classes == pairwise_grouping(omega_arr)
 
 
@@ -168,18 +161,19 @@ def test_run_qtc_uses_every_node_when_m_prime_is_m():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0)], 0.1, 12, seed=0)
     graph = build_graph(pts, 0.2)
     eig = eigendecompose(graph.hamiltonian)
-    omega = run_qtc(eig, 0.01, 2, m_prime=24, seed=5)
-    assert sorted(omega.init_nodes.tolist()) == list(range(24))
+    _, init_nodes = run_qtc(eig, 0.01, 2, m_prime=24, seed=5)
+    assert sorted(init_nodes.tolist()) == list(range(24))
 
 
 def test_run_qtc_deterministic():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0)], 0.1, 15, seed=1)
     graph = build_graph(pts, 0.2)
     eig = eigendecompose(graph.hamiltonian)
-    a = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
-    b = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
-    assert np.array_equal(a.omega, b.omega)
-    assert np.array_equal(a.init_nodes, b.init_nodes)
+    omega_a, init_a = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
+    omega_b, init_b = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
+    assert np.array_equal(omega_a, omega_b)
+    assert np.array_equal(init_a, init_b)
+    assert not omega_a.flags.writeable
 
 
 def test_run_qtc_rejects_oversized_m_prime():
@@ -197,40 +191,35 @@ def test_run_qtc_three_clouds_mostly_truth():
     from qtclust import LaplaceParams, gap_stats, select_s
 
     s = select_s(gap_stats(eig, 3), LaplaceParams())
-    omega = run_qtc(eig, s, 3, m_prime=50, seed=0)
-    hits = sum(
-        partitions_equivalent(omega.omega[:, k], pts.truth, 3) for k in range(omega.n_init)
-    )
+    omega, _ = run_qtc(eig, s, 3, m_prime=50, seed=0)
+    hits = sum(partitions_equivalent(omega[:, k], pts.truth, 3) for k in range(50))
     assert hits >= 45  # at least 90 percent of the ensemble
     labels, tally = majority_partition(omega, 3)
     assert max(tally.weights.values()) >= 0.9
-    assert max(tally.weights.values()) >= 1.0 / omega.n_init
-
-
-def consensus_oracle(omega_arr):
-    m, m_prime = omega_arr.shape
-    oracle = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            oracle[i, j] = sum(omega_arr[i, k] == omega_arr[j, k] for k in range(m_prime)) / m_prime
-    return oracle
+    assert max(tally.weights.values()) >= 1.0 / 50
 
 
 def test_majority_rejects_labels_outside_range():
     for bad in ([[0, 1], [2, 0]], [[0, -1], [1, 0]], [[2], [0]]):
         arr = np.array(bad)
         with pytest.raises(ParameterError):
-            majority_partition(LabelMatrix(omega=arr, init_nodes=np.arange(arr.shape[1])), 2)
+            majority_partition(arr, 2)
+        with pytest.raises(ParameterError):
+            consensus_matrix(arr, 2)
     with pytest.raises(ParameterError):
-        majority_partition(LabelMatrix(omega=np.zeros((3, 2), dtype=int), init_nodes=[0, 1]), 0)
+        majority_partition(np.zeros((3, 2), dtype=int), 0)
+    with pytest.raises(ParameterError):
+        consensus_matrix(np.zeros(3, dtype=int), 1)
 
 
-def test_consensus_exact_for_negative_and_sparse_labels():
+def test_consensus_exact_for_sparse_labels_and_rejects_negative():
     rng = np.random.default_rng(5)
-    omega_arr = rng.choice([-1, 7, 42], size=(25, 15))
-    omega_arr[:, 3] = np.arange(25) * 1000 - 7000  # every node its own label
-    c = consensus_matrix(LabelMatrix(omega=omega_arr, init_nodes=np.arange(15)))
-    assert np.array_equal(c, consensus_oracle(omega_arr))
+    omega_arr = rng.choice([0, 7, 42], size=(25, 15))
+    omega_arr[:, 3] = np.arange(25) * 2  # every node its own label
+    assert np.array_equal(consensus_matrix(omega_arr, 50), consensus_oracle(omega_arr))
+    omega_arr[0, 0] = -1
+    with pytest.raises(ParameterError):
+        consensus_matrix(omega_arr, 50)
 
 
 @pytest.mark.parametrize("columns_per_block", [1, 3])
@@ -238,17 +227,17 @@ def test_ensemble_blocks_do_not_change_results(monkeypatch, columns_per_block):
     rng = np.random.default_rng(6)
     omega_arr = rng.integers(0, 3, size=(20, 40))
     omega_arr[:, 20:] = omega_arr[:, :20]
-    omega_arr[:, 7] = np.arange(20)  # more labels than a one-hot block holds at one column per block
-    omega = LabelMatrix(omega=omega_arr, init_nodes=np.arange(40))
-    ref_labels, ref_tally = majority_partition(omega, 20)
-    ref_consensus = consensus_matrix(omega)
-    # 128 bytes per entry and 20 rows; a one-hot block then holds 16 * columns_per_block labels
+    omega_arr[:, 7] = np.arange(20)  # every node its own label, so q = 20
+    ref_labels, ref_tally = majority_partition(omega_arr, 20)
+    ref_consensus = consensus_matrix(omega_arr, 20)
+    # 128 bytes per entry and 20 rows: the vote relabels columns_per_block columns at a time, and
+    # a one-hot block holds 16 * columns_per_block entries per row, under one column of width q = 20
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * 20 * columns_per_block)
-    labels, tally = majority_partition(omega, 20)
+    labels, tally = majority_partition(omega_arr, 20)
     assert np.array_equal(labels, ref_labels)
     assert tally == ref_tally
     assert tally.classes == pairwise_grouping(omega_arr)
-    assert np.array_equal(consensus_matrix(omega), ref_consensus)
+    assert np.array_equal(consensus_matrix(omega_arr, 20), ref_consensus)
     assert np.array_equal(ref_consensus, consensus_oracle(omega_arr))
 
 
@@ -260,7 +249,7 @@ def test_run_qtc_matches_per_column_reference(monkeypatch, method):
     m, m_prime, s, seed = 36, 25, 0.02, 11
     # seven start nodes per block, so the 25 columns span four blocks
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * m * 7)
-    omega = run_qtc(eig, s, 3, m_prime=m_prime, seed=seed, method=method)
+    omega, got_init_nodes = run_qtc(eig, s, 3, m_prime=m_prime, seed=seed, method=method)
     rng = np.random.default_rng(seed)
     init_nodes = rng.choice(m, size=m_prime, replace=False)
     col_seeds = rng.integers(0, 2**63 - 1, size=m_prime)
@@ -271,5 +260,5 @@ def test_run_qtc_matches_per_column_reference(monkeypatch, method):
             expected[:, k] = labels_circle_clustering(phases, 3, int(col_seeds[k]))
         else:
             expected[:, k] = labels_direct_difference(phases, 3)
-    assert np.array_equal(omega.init_nodes, init_nodes)
-    assert np.array_equal(omega.omega, expected)
+    assert np.array_equal(got_init_nodes, init_nodes)
+    assert np.array_equal(omega, expected)

@@ -185,8 +185,6 @@ def test_kmeans_validation():
     with pytest.raises(ParameterError):
         kmeans(np.zeros((3, 2)), 0, seed=0)
     with pytest.raises(ParameterError):
-        kmeans(np.zeros((3, 2)), 2, seed=0, n_restarts=0)
-    with pytest.raises(ParameterError):
         kmeans(np.array([[0.0, 1.0], [np.nan, 0.0]]), 2, seed=0)
 
 

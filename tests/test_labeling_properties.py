@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qtclust import FragmentationWarning, kmeans, labels_direct_difference
+from qtclust import FragmentationWarning, kmeans, labeling, labels_direct_difference
 from qtclust.labeling import _lloyd
 
 from conftest import direct_difference_oracle, kmeans_oracle, lloyd_oracle
@@ -75,7 +75,11 @@ def test_kmeans_matches_sequential_restarts(data):
     n_restarts = data.draw(st.integers(1, 10))
     max_iter = data.draw(st.sampled_from([1, 2, 300]))
     tol = data.draw(st.sampled_from([0.0, 1e-6, 1e-2]))
-    got = kmeans(x, k, seed, n_restarts=n_restarts, max_iter=max_iter, tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_N_RESTARTS", n_restarts)
+        mp.setattr(labeling, "_MAX_ITER", max_iter)
+        mp.setattr(labeling, "_TOL", tol)
+        got = kmeans(x, k, seed)
     assert np.array_equal(got, kmeans_oracle(x, k, seed, n_restarts, max_iter, tol))
 
 

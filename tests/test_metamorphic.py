@@ -92,6 +92,55 @@ def test_permuting_the_points_permutes_the_diff_labels(name, seed, data):
     assert max(b.tally.weights.values()) == max(a.tally.weights.values())
 
 
+def _rotation(angles):
+    """A rotation of the plane or of space: z, then y, then x for three angles."""
+    if len(angles) == 1:
+        (a,) = angles
+        return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    rot = np.eye(3)
+    for axis, a in enumerate(angles):
+        i, j = [k for k in range(3) if k != axis]
+        turn = np.eye(3)
+        turn[[i, i, j, j], [i, j, i, j]] = np.cos(a), -np.sin(a), np.sin(a), np.cos(a)
+        rot = turn @ rot
+    return rot
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SEPARATED_INPUT)),
+    seed=st.integers(0, 1000),
+    motion=st.sampled_from(["translation", "rotation"]),
+    offset=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=3, max_size=3),
+)
+@example(name="clouds", seed=944, motion="translation", offset=[3.0, -7.5, 0.0], angles=[0.0, 0.0, 0.0])
+@example(name="clouds", seed=944, motion="rotation", offset=[0.0, 0.0, 0.0], angles=[2.0, 0.0, 0.0])
+def test_rigid_motions_keep_the_graph_and_the_diff_partition(name, seed, motion, offset, angles):
+    # neither motion is exact in floating point: distances, r_eps and H move in the last bits
+    generate, eps = SEPARATED_INPUT[name]
+    points = generate(seed)
+    d = points.dim
+    if motion == "translation":
+        moved = PointSet(points.points + np.array(offset[:d]), points.truth)
+    else:
+        moved = PointSet(points.points @ _rotation(angles[: d * (d - 1) // 2]).T, points.truth)
+    ga, gb = build_graph(points, eps), build_graph(moved, eps)
+    assert abs(gb.proximity - ga.proximity) <= 1e-12
+    assert np.abs(gb.hamiltonian - ga.hamiltonian).max() <= 1e-12
+    options = dict(m_prime=points.m, label_method="diff", summary="majority")
+    try:
+        a = qtc(points, eps, 3, **options)
+    except QTClustError as exc:
+        # the moved input must fail the same way
+        with pytest.raises(type(exc)) as moved_exc:
+            qtc(moved, eps, 3, **options)
+        assert str(moved_exc.value) == str(exc)
+        return
+    b = qtc(moved, eps, 3, **options)
+    assert np.array_equal(canonical_relabel(b.labels), canonical_relabel(a.labels))
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 1000), m=st.integers(2, 14), data=st.data())
 def test_permuting_the_nodes_permutes_the_kernels(seed, m, data):

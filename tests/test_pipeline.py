@@ -70,7 +70,6 @@ def test_eps_or_r_eps_required(three_clouds):
 
 
 def assert_same_bundle(a, b):
-    assert np.array_equal(a.degrees, b.degrees)
     assert np.array_equal(a.hamiltonian, b.hamiltonian)
     assert a.proximity == b.proximity
 

@@ -26,9 +26,13 @@ def test_two_node_hand_diagonalization(two_node_eig):
 
 
 def test_connected_graph_ground_state():
-    graph, eig = random_geometric_graph(0, 30)
+    # the input of random_geometric_graph(0, 30), built step by step to keep the adjacency
+    rng = np.random.default_rng(0)
+    dist = pairwise_distances(PointSet(rng.normal(size=(30, 2))))
+    adjacency = gaussian_adjacency(dist, quantile_proximity(dist, float(rng.uniform(0.15, 0.5))))
+    eig = eigendecompose(laplacians(adjacency).hamiltonian)
     assert eig.energies[0] == 0.0
-    expected = np.sqrt(graph.degrees)
+    expected = np.sqrt(adjacency.sum(axis=1))
     expected /= np.linalg.norm(expected)
     assert np.abs(np.abs(eig.modes[:, 0]) - expected).max() < 1e-8
 
