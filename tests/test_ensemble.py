@@ -106,17 +106,7 @@ def test_consensus_half_on_disagreement():
 def test_consensus_matches_triple_loop_exactly():
     rng = np.random.default_rng(2)
     omega_arr = rng.integers(0, 3, size=(30, 20))
-    c = consensus_matrix(omega_arr, 3)
-    m, m_prime = omega_arr.shape
-    oracle = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            count = 0
-            for k in range(m_prime):
-                if omega_arr[i, k] == omega_arr[j, k]:
-                    count += 1
-            oracle[i, j] = count / m_prime
-    assert np.array_equal(c, oracle)
+    assert np.array_equal(consensus_matrix(omega_arr, 3), consensus_oracle(omega_arr))
 
 
 def test_consensus_invariant_under_column_permutations():

@@ -93,7 +93,7 @@ def test_permuting_the_points_permutes_the_diff_labels(name, seed, data):
 
 
 def _rotation(angles):
-    """A rotation of the plane or of space: z, then y, then x for three angles."""
+    """A rotation of the plane by one angle, or of space by three: about x, then y, then z."""
     if len(angles) == 1:
         (a,) = angles
         return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
