@@ -56,8 +56,8 @@ from .labeling import (
     labels_circle_clustering,
     labels_direct_difference,
 )
-from .pipeline import QTCResult, build_graph, qtc
-from .spectral import EigenSystem, GapReport, count_low_energy, eigendecompose, gap_stats
+from .pipeline import QTCResult, amplitude_source, build_graph, qtc
+from .spectral import EigenSystem, GapReport, count_low_energy, eigendecompose, gap_stats, low_energies
 from .theory import (
     InstantonParams,
     born_expansion,
@@ -68,11 +68,12 @@ from .theory import (
     tight_binding,
     two_level_phases,
 )
-from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s
+from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s, solve_source, spectral_source
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "amplitude_source",
     "ari",
     "born_expansion",
     "build_graph",
@@ -107,6 +108,7 @@ __all__ = [
     "LaplaceParams",
     "laplacians",
     "load_timeseries",
+    "low_energies",
     "majority_partition",
     "NumericError",
     "pairwise_distances",
@@ -124,8 +126,10 @@ __all__ = [
     "resolvent_exact",
     "run_qtc",
     "select_s",
+    "solve_source",
     "spectral_cluster",
     "spectral_embedding",
+    "spectral_source",
     "tight_binding",
     "transition_kernel",
     "two_cluster_outlier_distances",

@@ -21,9 +21,9 @@ from .datasets import (
 from .ensemble import LABEL_METHODS
 from .errors import InputError, NumericError, ParameterError
 from .kernels import NORMALIZATIONS, jsd_matrix, laplace_similarity, spectral_cluster, transition_kernel
-from .pipeline import SUMMARIES, build_graph, qtc
+from .pipeline import SUMMARIES, amplitude_source, build_graph, qtc
 from .spectral import eigendecompose, gap_stats
-from .transport import S_RULES, LaplaceParams, laplace_amplitudes, phase_field, select_s
+from .transport import S_RULES, LaplaceParams, phase_field, select_s
 
 SCHEMA = "qtclust/1"
 
@@ -168,8 +168,8 @@ def cmd_gen(args) -> None:
 def cmd_eigen(args) -> None:
     _, graph, eig = _graph_eig(args)
     out = _out_dir(args)
-    q = args.q if args.q else max(2, gap_stats(eig, 2).low_count)
-    gaps = gap_stats(eig, min(q, eig.size))
+    q = args.q if args.q else max(2, gap_stats(eig.energies, 2).low_count)
+    gaps = gap_stats(eig.energies, min(q, eig.size))
     payload = {
         "energies": eig.energies,
         "low_count": gaps.low_count,
@@ -183,18 +183,21 @@ def cmd_eigen(args) -> None:
 
 
 def cmd_phases(args) -> None:
-    _, graph, eig = _graph_eig(args)
+    points = io.load_points_csv(args.input)
+    graph = build_graph(points, args.eps)
+    r_eps = graph.proximity
+    # one start node: the solve route from 6 nodes up
+    _, s, source = amplitude_source(graph, args.q or 2, _laplace_params(args), 1)
+    del graph  # H goes before the solve
     out = _out_dir(args)
-    gaps = gap_stats(eig, max(args.q or 2, 2))
-    s = select_s(gaps, _laplace_params(args))
-    amplitudes = laplace_amplitudes(eig, [args.init_node], s)[:, 0]
+    amplitudes = next(source(np.array([args.init_node]), 1))[:, 0]
     path = out / "phases.csv"
     io.save_table_csv(
         path,
         ["node_index", "phase", "amplitude_re", "amplitude_im"],
-        [np.arange(eig.size), phase_field(amplitudes), amplitudes.real, amplitudes.imag],
+        [np.arange(points.m), phase_field(amplitudes), amplitudes.real, amplitudes.imag],
     )
-    _write_run_json(out, args, {"s": s, "r_eps": graph.proximity})
+    _write_run_json(out, args, {"s": s, "r_eps": r_eps})
     print(f"wrote {path}")
 
 
@@ -255,7 +258,7 @@ def cmd_kernel(args) -> None:
     if args.kind == "P":
         matrix = transition_kernel(eig)
     elif args.kind == "S":
-        matrix = laplace_similarity(eig, select_s(gap_stats(eig, 2), _laplace_params(args)))
+        matrix = laplace_similarity(eig, select_s(gap_stats(eig.energies, 2), _laplace_params(args)))
     else:
         matrix = jsd_matrix(eig)
     path = out / f"kernel_{args.kind}.csv"

@@ -132,7 +132,13 @@ def radius_proportional_counts(radii, base: int) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     if base < 1:
         raise ParameterError("base count must be at least 1")
-    return np.maximum(1, np.rint(base * r / r[0]).astype(int))
+    if r.ndim != 1 or r.size < 1 or not (np.isfinite(r).all() and (r > 0.0).all()):
+        raise ParameterError(f"radii must be a sequence of positive finite numbers, got {radii!r}")
+    with np.errstate(over="ignore"):
+        counts = np.rint(base * r / r[0])
+    if not (counts < 2.0**63).all():
+        raise ParameterError(f"ring counts overflow at radii={radii!r}, base_count={base!r}")
+    return np.maximum(1, counts.astype(int))
 
 
 def gen_tetrahedron(q: int = 4, sigma: float = 0.1, n_per=100, seed: int = 0) -> PointSet:

@@ -9,8 +9,7 @@ import numpy as np
 from .errors import ParameterError
 from .graph import _readonly
 from .labeling import labels_circle_clustering, labels_direct_difference
-from .spectral import EigenSystem
-from .transport import laplace_amplitudes, phase_field
+from .transport import phase_field
 
 # scratch budget of one column block in run_qtc, majority_partition and
 # consensus_matrix; the block width follows from m, so the scratch stays small
@@ -88,28 +87,38 @@ def partitions_equivalent(col_a: np.ndarray, col_b: np.ndarray, q: int) -> bool:
     return np.array_equal(canon[0], canon[1])
 
 
+def start_count(m: int, m_prime: int | None = None) -> int:
+    """The number m' of start nodes of an ensemble on m nodes: ``m_prime``, else min(m, 100).
+
+    ``ParameterError`` unless 1 <= m' <= m.
+    """
+    if m_prime is None:
+        m_prime = min(m, 100)
+    if not 1 <= m_prime <= m:
+        raise ParameterError(f"m_prime must be between 1 and {m}, got {m_prime}")
+    return m_prime
+
+
 def run_qtc(
-    eig: EigenSystem,
-    s: float,
+    m: int,
+    amplitudes,
     q: int,
     m_prime: int | None = None,
     seed: int = 0,
     method: str = "circle",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Label the graph once per sampled start node: returns ``(omega, init_nodes)``.
+    """Label the m-node graph once per sampled start node: returns ``(omega, init_nodes)``.
 
     Start nodes are drawn uniformly without replacement.  Column k of the
     read-only m x m' array ``omega`` holds labels in [0, q) derived from the
-    phase field of the wave function started at ``init_nodes[k]``.  Each
-    block of start nodes takes one GEMM in :func:`laplace_amplitudes`, one
-    :func:`phase_field` call and one labeler call, with one phase field per
-    row.  Fully deterministic for a fixed seed.
+    phase field of the wave function started at ``init_nodes[k]``.  The
+    amplitude source ``amplitudes(init_nodes, width)`` yields the m x k
+    complex amplitudes of each block of at most ``width`` start nodes in
+    turn (``transport.spectral_source`` or ``transport.solve_source``).
+    Each block takes one :func:`phase_field` call and one labeler call, with
+    one phase field per row.  Fully deterministic for a fixed seed.
     """
-    m = eig.size
-    if m_prime is None:
-        m_prime = min(m, 100)
-    if not 1 <= m_prime <= m:
-        raise ParameterError(f"m_prime must be between 1 and {m}, got {m_prime}")
+    m_prime = start_count(m, m_prime)
     if method not in LABEL_METHODS:
         raise ParameterError(f"method must be one of {LABEL_METHODS}, got {method!r}")
     rng = np.random.default_rng(seed)
@@ -117,10 +126,10 @@ def run_qtc(
     col_seeds = rng.integers(0, 2**63 - 1, size=m_prime)
     omega = np.empty((m, m_prime), dtype=int)
     width = _block_width(m)
-    for lo in range(0, m_prime, width):
+    for lo, block in zip(range(0, m_prime, width), amplitudes(init_nodes, width), strict=True):
         cols = slice(lo, lo + width)
         # one phase field per row, C-contiguous, so each row's sort reads contiguous memory
-        phases = np.ascontiguousarray(phase_field(laplace_amplitudes(eig, init_nodes[cols], s).T))
+        phases = np.ascontiguousarray(phase_field(block.T))
         if method == "circle":
             omega[:, cols] = labels_circle_clustering(phases, q, col_seeds[cols]).T
         else:

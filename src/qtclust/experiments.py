@@ -12,7 +12,7 @@ from .kernels import spectral_cluster
 from .pipeline import build_graph
 from .spectral import eigendecompose, gap_stats
 from .theory import born_expansion, cluster_orbitals, predicted_phases, resolvent_exact, tight_binding
-from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s
+from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s, spectral_source
 
 # both phase experiments damp at 1.2 times the first spectral gap
 FIRST_GAP_S = LaplaceParams(rule="first_gap", multiplier=1.2)
@@ -56,7 +56,7 @@ def two_cloud_experiment(
     points = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, n_per, seed)
     graph = build_graph(points, r_eps=sigma)
     eig = eigendecompose(graph.hamiltonian)
-    s = select_s(gap_stats(eig, 2), FIRST_GAP_S)
+    s = select_s(gap_stats(eig.energies, 2), FIRST_GAP_S)
 
     init_node = int(np.argmin(np.linalg.norm(points.points - [-ell, 0.0], axis=1)))
     amplitudes = laplace_amplitudes(eig, [init_node], s)[:, 0]
@@ -65,7 +65,7 @@ def two_cloud_experiment(
     if partition == "truth":
         part = points.truth
     else:
-        omega, _ = run_qtc(eig, s, 2, seed=seed)
+        omega, _ = run_qtc(eig.size, spectral_source(eig, s), 2, seed=seed)
         part, _ = majority_partition(omega, 2)
     orbitals = cluster_orbitals(graph.hamiltonian, part)
     tb = tight_binding(graph.hamiltonian, orbitals)
@@ -113,7 +113,7 @@ def outlier_sweep(
         coords = np.vstack([clouds.points, [((2.0 * alpha - 1.0) * ell, 0.0)]])
         truth = np.concatenate([clouds.truth, [2]])
         eig = eigendecompose(build_graph(PointSet(points=coords, truth=truth), eps).hamiltonian)
-        s = select_s(gap_stats(eig, 2), FIRST_GAP_S)
+        s = select_s(gap_stats(eig.energies, 2), FIRST_GAP_S)
         phases = phase_field(laplace_amplitudes(eig, [init_node], s)[:, 0])
         rows.append(
             {
@@ -137,7 +137,7 @@ def spectrum_count_experiment(
     for q in CLUSTER_COUNTS:
         graph = build_graph(gen_tetrahedron(q=q, sigma=sigma, n_per=n_per, seed=seed), eps)
         eig = eigendecompose(graph.hamiltonian)
-        gaps = gap_stats(eig, q)
+        gaps = gap_stats(eig.energies, q)
         out[int(q)] = {
             "low_count": gaps.low_count,
             "gap_ratio": gaps.next_ratio,
@@ -169,8 +169,8 @@ def eps_sweep(
     for eps in np.asarray(eps_grid, dtype=float):
         eig = eigendecompose(build_graph(points, float(eps), dist=dist).hamiltonian)
         try:
-            s = select_s(gap_stats(eig, max(q, 2)), laplace)
-            omega, _ = run_qtc(eig, s, q, m_prime=m_prime, seed=seed, method=label_method)
+            s = select_s(gap_stats(eig.energies, max(q, 2)), laplace)
+            omega, _ = run_qtc(eig.size, spectral_source(eig, s), q, m_prime=m_prime, seed=seed, method=label_method)
             labels, _ = majority_partition(omega, q)
             ari_qtc = ari(labels, points.truth)
         except DegenerateGapError:

@@ -66,7 +66,10 @@ class GraphBundle:
 
 
 def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix, bitwise identical to a per-pair norm loop."""
+    """Euclidean distance matrix, bitwise identical to a per-pair norm loop.
+
+    ``InputError`` naming two points whose squared distance overflows.
+    """
     x = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InputError("need at least two points in an m x d array")
@@ -78,8 +81,16 @@ def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
     # made a process's peak RSS swing ~6 MiB with the input at m=900 (heap layout)
     step = max(1, (16 << 20) // max(1, 8 * m * d))
     for lo in range(0, m, step):
-        diff = x[lo : lo + step, None, :] - x[None, :, :]
-        out[lo : lo + step] = np.sqrt((diff * diff).sum(axis=-1))
+        with np.errstate(over="ignore"):
+            diff = x[lo : lo + step, None, :] - x[None, :, :]
+            squared = (diff * diff).sum(axis=-1)
+        if np.isinf(squared.max()):
+            i, j = np.argwhere(np.isinf(squared))[0]
+            raise InputError(
+                f"points {lo + i} and {j} are too far apart: their squared distance overflows "
+                "(coordinate differences must stay below ~1.3e154)"
+            )
+        np.sqrt(squared, out=out[lo : lo + step])
     return out
 
 

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import PartitionTally, consensus_matrix, majority_partition, run_qtc
+from .ensemble import PartitionTally, consensus_matrix, majority_partition, run_qtc, start_count
 from .errors import ParameterError
 from .graph import GraphBundle, PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
-from .spectral import GapReport, eigendecompose, gap_stats
-from .transport import LaplaceParams, select_s
+from .spectral import GapReport, eigendecompose, gap_stats, low_energies
+from .transport import LaplaceParams, select_s, solve_source, spectral_source
 
 SUMMARIES = ("majority", "consensus", "both")
 
@@ -47,6 +47,36 @@ def build_graph(
     return laplacians(adjacency, proximity=r_eps)
 
 
+def takes_solve_route(m: int, m_prime: int) -> bool:
+    """Whether an ensemble of ``m_prime`` start nodes on ``m`` nodes takes the solve route (6 m' <= m)."""
+    # peak bytes: eigh ~40 m^2 (H, numpy's copy of H, the modes, syevd's workspace); the solve
+    # ~32 m^2 + 48 m m' (A, numpy's copy of A, the right-hand side, its work copy, the output)
+    return 6 * m_prime <= m
+
+
+def amplitude_source(graph: GraphBundle, q: int, laplace: LaplaceParams, m_prime: int):
+    """Gap report, damping rate and amplitude source of a graph for ``m_prime`` start nodes.
+
+    Returns ``(gaps, s, amplitudes)``, with ``amplitudes`` an amplitude source
+    for :func:`run_qtc`; the gap rule reads the band of max(q, 2) modes.  On
+    the solve route (:func:`takes_solve_route`) no eigenvector is computed:
+    e_0..e_q come from :func:`low_energies` and the amplitudes from one
+    complex LU of sI + iH, built here, so the caller can free H before the
+    solve.  Otherwise H is decomposed and the amplitudes summed over its modes.
+    """
+    h = graph.hamiltonian
+    m = h.shape[0]
+    q = max(q, 2)
+    if takes_solve_route(m, m_prime):
+        gaps = gap_stats(low_energies(h, min(q + 1, m)), q)
+        s = select_s(gaps, laplace)
+        return gaps, s, solve_source(h, s)
+    eig = eigendecompose(h)
+    gaps = gap_stats(eig.energies, q)
+    s = select_s(gaps, laplace)
+    return gaps, s, spectral_source(eig, s)
+
+
 def qtc(
     points: PointSet,
     eps: float,
@@ -57,14 +87,19 @@ def qtc(
     seed: int = 0,
     summary: str = "both",
 ) -> QTCResult:
-    """Full quantum transport clustering of a point set."""
+    """Full quantum transport clustering of a point set (see :func:`amplitude_source` for its two routes)."""
     if summary not in SUMMARIES:
         raise ParameterError(f"summary must be one of {SUMMARIES}, got {summary!r}")
+    m_prime = start_count(points.m, m_prime)
     graph = build_graph(points, eps)
-    eig = eigendecompose(graph.hamiltonian)
-    gaps = gap_stats(eig, max(q, 2))
-    s = select_s(gaps, laplace)
-    omega, init_nodes = run_qtc(eig, s, q, m_prime=m_prime, seed=seed, method=label_method)
+    r_eps = graph.proximity
+    gaps, s, amplitudes = amplitude_source(graph, q, laplace, m_prime)
+    if takes_solve_route(points.m, m_prime):
+        # H goes before the solve, which runs in run_qtc.  The spectral route keeps H and the modes
+        # until qtc returns: freeing them earlier lets glibc put the later m x m arrays on the heap,
+        # which raised the peak RSS of an every-node ensemble (m' = m = 900) by 6 MiB
+        del graph
+    omega, init_nodes = run_qtc(points.m, amplitudes, q, m_prime=m_prime, seed=seed, method=label_method)
     labels = tally = consensus = None
     if summary in ("majority", "both"):
         labels, tally = majority_partition(omega, q)
@@ -75,8 +110,7 @@ def qtc(
         tally=tally,
         consensus=consensus,
         init_nodes=init_nodes,
-        r_eps=graph.proximity,
+        r_eps=r_eps,
         gaps=gaps,
         s=s,
     )
-

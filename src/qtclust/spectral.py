@@ -1,4 +1,4 @@
-"""Eigendecomposition of the walk generator and spectral-gap diagnostics."""
+"""Eigendecomposition and low spectrum of the walk generator, and spectral-gap diagnostics."""
 
 from __future__ import annotations
 
@@ -13,6 +13,12 @@ from .graph import _check_symmetric, _readonly
 CLAMP_TOL = 1e-10
 # a spectral jump by this factor separates collective cluster modes from intra-cluster excitations
 GAP_FACTOR = 10.0
+# block Lanczos: a Ritz pair has converged at a residual ||H x - theta x|| this small; a new
+# direction is kept when its singular value exceeds _RANK_TOL times its block's scale; the start
+# block has at least _MIN_BLOCK columns
+LANCZOS_TOL = 1e-10
+_RANK_TOL = 1e-10
+_MIN_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,23 @@ class GapReport:
     low_count: int
 
 
+def _symmetric_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a finite square float array symmetric within 1e-10; ``InputError`` otherwise."""
+    h = np.asarray(matrix, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
+        raise InputError("matrix must be square")
+    if not np.isfinite(h).all():
+        raise InputError("matrix contains non-finite entries")
+    _check_symmetric(h, 1e-10, "matrix is not symmetric within 1e-10")
+    return h
+
+
+def _clamped(energies: np.ndarray) -> np.ndarray:
+    """Snap eigenvalues within ``CLAMP_TOL`` of zero to exactly zero, in place."""
+    energies[np.abs(energies) < CLAMP_TOL] = 0.0
+    return energies
+
+
 def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     """Full dense decomposition of a symmetric matrix.
 
@@ -68,18 +91,12 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     a connected similarity graph the ground energy is zero analytically, and
     downstream gap ratios should not see rounding noise there.
     """
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
-        raise InputError("matrix must be square")
-    if not np.isfinite(h).all():
-        raise InputError("matrix contains non-finite entries")
-    _check_symmetric(h, 1e-10, "matrix is not symmetric within 1e-10")
+    h = _symmetric_matrix(matrix)
     try:
         energies, modes = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from None
-    energies = energies.copy()
-    energies[np.abs(energies) < CLAMP_TOL] = 0.0
+    energies = _clamped(energies.copy())
     cols = np.arange(modes.shape[1])
     anchor = np.abs(modes).argmax(axis=0)
     signs = np.sign(modes[anchor, cols])
@@ -87,12 +104,84 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     return EigenSystem(energies=energies, modes=modes * signs)
 
 
-def gap_stats(eig: EigenSystem, q: int) -> GapReport:
-    """Gap diagnostics for a putative q-cluster decomposition."""
-    m = eig.size
+def low_energies(matrix: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of a symmetric matrix, ascending, without any eigenvector.
+
+    Block Lanczos (Golub & Underwood 1977) with full reorthogonalization.
+    The start block holds max(k, 8) Gaussian columns from a fixed seed, so a
+    rerun gives the same bits, and an eigenvalue of multiplicity up to k is
+    found as often as it occurs.  Each step multiplies the newest block by H
+    and keeps only the directions the basis does not already hold (see
+    :func:`_new_directions`).  The Rayleigh-Ritz values of the basis are
+    taken whenever it has grown by a quarter since the last time, so their
+    cost stays a fixed multiple of the last one.  The run stops when each of
+    the k lowest has a residual ||H x - theta x|| of at most ``LANCZOS_TOL``
+    or when the basis spans the whole space; if the basis stops growing
+    before that, ``NumericError``.  Checked and clamped like
+    :func:`eigendecompose`.
+    """
+    h = _symmetric_matrix(matrix)
+    m = h.shape[0]
+    if not 1 <= k <= m:
+        raise ParameterError(f"k must be between 1 and {m}, got {k}")
+    basis = np.empty((m, 0))
+    projected = np.empty((0, 0))  # V^T H V, lower triangle only: eigh reads no other entry
+    block = _new_directions(np.random.default_rng(0).standard_normal((m, min(m, max(k, _MIN_BLOCK)))), basis)
+    check = 0
+    while block.shape[1]:
+        product = h @ block
+        basis = np.hstack([basis, block])
+        projected = np.block([[projected, np.zeros((projected.shape[0], block.shape[1]))], [product.T @ basis]])
+        if basis.shape[1] >= check or basis.shape[1] == m:
+            ritz, residual = _ritz_pairs(h, basis, projected, k)
+            if basis.shape[1] == m or (residual <= LANCZOS_TOL).all():
+                return _clamped(ritz)
+            check = basis.shape[1] * 5 // 4
+        block = _new_directions(product, basis)
+    ritz, residual = _ritz_pairs(h, basis, projected, k)
+    if (residual <= LANCZOS_TOL).all():
+        return _clamped(ritz)
+    raise NumericError(
+        f"block Lanczos stalled at {basis.shape[1]} of {m} directions with a Ritz residual "
+        f"of {residual.max():.3g} above {LANCZOS_TOL}"
+    )
+
+
+def _ritz_pairs(h: np.ndarray, basis: np.ndarray, projected: np.ndarray, k: int):
+    """The k lowest Rayleigh-Ritz values of H on the orthonormal ``basis`` and their residuals ||H x - theta x||."""
+    ritz, vectors = np.linalg.eigh(projected)
+    x = basis @ vectors[:, :k]
+    return ritz[:k], np.linalg.norm(h @ x - x * ritz[:k], axis=0)
+
+
+def _new_directions(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the part of span(block) that ``basis`` does not already hold.
+
+    The block is projected off the orthonormal ``basis`` once; an SVD then
+    drops the directions whose singular values do not exceed ``_RANK_TOL``
+    times the largest column norm of the block, which is rounding left by
+    the projection.  Dividing by a small singular value magnifies what the
+    projection left along the basis, so the kept directions are projected
+    once more and orthonormalized by QR.
+    """
+    scale = np.linalg.norm(block, axis=0).max()
+    block = block - basis @ (basis.T @ block)
+    u, sv, _ = np.linalg.svd(block, full_matrices=False)
+    u = u[:, sv > _RANK_TOL * scale]
+    u -= basis @ (basis.T @ u)
+    return np.linalg.qr(u)[0]
+
+
+def gap_stats(energies: np.ndarray, q: int) -> GapReport:
+    """Gap diagnostics for a putative q-cluster decomposition of an ascending energy array.
+
+    The array may be the whole spectrum or its lowest part, e_0..e_q as
+    :func:`low_energies` gives it; ``low_count`` counts within that array.
+    """
+    e = np.asarray(energies, dtype=float)
+    m = e.size
     if not 2 <= q <= m:
         raise ParameterError(f"q must be between 2 and {m}, got {q}")
-    e = eig.energies
     first_gap = float(e[1] - e[0])
     avg_gap = float((e[q - 1] - e[0]) / (q - 1))
     next_ratio = float(e[q] / max(e[q - 1], CLAMP_TOL)) if q < m else 0.0
@@ -100,20 +189,20 @@ def gap_stats(eig: EigenSystem, q: int) -> GapReport:
         first_gap=first_gap,
         avg_gap=avg_gap,
         next_ratio=next_ratio,
-        low_count=count_low_energy(eig),
+        low_count=count_low_energy(e),
     )
 
 
-def count_low_energy(eig: EigenSystem) -> int:
-    """Number of low-energy modes, i.e. putative well-separated clusters.
+def count_low_energy(energies: np.ndarray) -> int:
+    """Number of low-energy modes, i.e. putative well-separated clusters, of an ascending energy array.
 
     Counts the modes below the highest spectral jump whose ratio
     E_k / max(E_{k-1}, tol) still reaches ``GAP_FACTOR``; returns 1 when no
     jump does.
     """
-    if eig.size < 2:
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1 or e.size < 2:
         raise ParameterError("need at least two eigenvalues")
-    e = eig.energies
     ratios = e[1:] / np.maximum(e[:-1], CLAMP_TOL)
     hits = np.nonzero(ratios >= GAP_FACTOR)[0]
     return int(hits[-1]) + 1 if hits.size else 1

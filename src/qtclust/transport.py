@@ -56,14 +56,8 @@ def laplace_amplitudes(eig: EigenSystem, init_nodes, s: float) -> np.ndarray:
     against them yields the m x len(init_nodes) complex result in place,
     without casting the real ``modes`` to complex.
     """
-    m = eig.size
-    init = np.asarray(init_nodes)
-    if init.ndim != 1 or init.dtype.kind not in "iu":
-        raise ParameterError("init_nodes must be a one-dimensional integer array")
-    if init.size and not (0 <= init.min() and init.max() < m):
-        raise ParameterError(f"init nodes must be in [0, {m}), got {init.min()} to {init.max()}")
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
+    init = _start_nodes(init_nodes, eig.size)
+    _check_s(s)
     weights = eig.modes[init, :] / (s + 1j * eig.energies)
     amplitudes = (eig.modes @ np.ascontiguousarray(weights.T).view(float)).view(complex)
     tiny = np.abs(amplitudes) < UNDERFLOW_FLOOR
@@ -75,6 +69,62 @@ def laplace_amplitudes(eig: EigenSystem, init_nodes, s: float) -> np.ndarray:
             im = math.fsum((eig.modes[i, :] * weights[k].imag).tolist())
             amplitudes[i, k] = complex(re, im)
     return amplitudes
+
+
+def spectral_source(eig: EigenSystem, s: float):
+    """Amplitude source of the spectral sum, for ``ensemble.run_qtc``.
+
+    ``source(init_nodes, width)`` yields the amplitudes of each block of at
+    most ``width`` start nodes in turn, one :func:`laplace_amplitudes` GEMM
+    per block.
+    """
+
+    def blocks(init_nodes, width):
+        for lo in range(0, len(init_nodes), width):
+            yield laplace_amplitudes(eig, init_nodes[lo : lo + width], s)
+
+    return blocks
+
+
+def solve_source(hamiltonian: np.ndarray, s: float):
+    """Amplitude source of one complex LU solve, for ``ensemble.run_qtc``.
+
+    A = s I + i H is built here, so the caller can free H before the solve.
+    ``source(init_nodes, width)`` solves A psi = E, with one unit column of
+    E per start node, when its first block is asked for: A is factored once
+    for all start nodes, and the blocks of at most ``width`` start nodes are
+    column slices of that one result.
+    """
+    _check_s(s)
+    h = np.asarray(hamiltonian, dtype=float)
+    m = h.shape[0]
+    a = h * 1j
+    a.flat[:: m + 1] += s
+
+    def blocks(init_nodes, width):
+        init = _start_nodes(init_nodes, m)
+        rhs = np.zeros((m, init.size), dtype=complex)
+        rhs[init, np.arange(init.size)] = 1.0
+        amplitudes = np.linalg.solve(a, rhs)
+        for lo in range(0, init.size, width):
+            yield amplitudes[:, lo : lo + width]
+
+    return blocks
+
+
+def _start_nodes(init_nodes, m: int) -> np.ndarray:
+    """``init_nodes`` as a one-dimensional integer array of nodes in [0, m); ``ParameterError`` otherwise."""
+    init = np.asarray(init_nodes)
+    if init.ndim != 1 or init.dtype.kind not in "iu":
+        raise ParameterError("init_nodes must be a one-dimensional integer array")
+    if init.size and not (0 <= init.min() and init.max() < m):
+        raise ParameterError(f"init nodes must be in [0, {m}), got {init.min()} to {init.max()}")
+    return init
+
+
+def _check_s(s: float) -> None:
+    if not (np.isfinite(s) and s > 0.0):
+        raise ParameterError("s must be a positive finite number")
 
 
 def phase_field(amplitudes: np.ndarray) -> np.ndarray:

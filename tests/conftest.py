@@ -18,13 +18,29 @@ else:
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-def random_geometric_graph(seed, m, d=2, eps=None):
-    """A Gaussian similarity graph on random points, plus its eigensystem."""
+def random_points(seed, m, d=2, eps=None, pieces=1):
+    """Random normal points and a bandwidth quantile eps, the input of ``random_geometric_graph``.
+
+    With ``pieces`` > 1 the points fall into that many groups 1e3 apart (every
+    group needs two points), and the default eps picks a distance within a
+    group, so the graph has at least ``pieces`` components.
+    """
     rng = np.random.default_rng(seed)
-    points = PointSet(rng.normal(size=(m, d)))
+    points = rng.normal(size=(m, d))
     if eps is None:
         eps = float(rng.uniform(0.15, 0.5))
-    graph = build_graph(points, eps)
+        if pieces > 1:
+            sizes = np.bincount(np.arange(m) % pieces)
+            within = int((sizes * (sizes - 1) // 2).sum())
+            # np.quantile interpolates at eps (n - 1) in the sorted distances, whose first `within` are in groups
+            eps *= (within - 1) / (m * (m - 1) // 2 - 1)
+    points[:, 0] += 1e3 * (np.arange(m) % pieces)
+    return PointSet(points), eps
+
+
+def random_geometric_graph(seed, m, d=2, eps=None, pieces=1):
+    """A Gaussian similarity graph on ``random_points``, plus its eigensystem."""
+    graph = build_graph(*random_points(seed, m, d, eps, pieces))
     return graph, eigendecompose(graph.hamiltonian)
 
 

@@ -91,7 +91,7 @@ def test_criterion_3_spectral_gap_cluster_counting():
         r_eps = quantile_proximity(dist, 0.1)
         graph = laplacians(gaussian_adjacency(dist, r_eps), proximity=r_eps)
         eig = eigendecompose(graph.hamiltonian)
-        rep = gap_stats(eig, q)
+        rep = gap_stats(eig.energies, q)
         _verdict(3, f"q={q}: low mode count {rep.low_count} == {q}", rep.low_count == q)
         _verdict(3, f"q={q}: spectral jump ratio {rep.next_ratio:.3g} >= 10", rep.next_ratio >= 10.0)
 

@@ -95,6 +95,21 @@ def test_cluster_reruns_byte_identical(tmp_path, clouds_csv):
     assert (out_a / "consensus.csv").read_bytes() == (out_b / "consensus.csv").read_bytes()
 
 
+def test_solve_route_reruns_byte_identical(tmp_path, clouds_csv):
+    # 120 points: 20 start nodes and the one start node of phases take the solve route (6 m' <= m)
+    argv = {
+        "cluster": ["cluster", "--eps", "0.1", "--q", "3", "--m-prime", "20"],
+        "phases": ["phases", "--eps", "0.1", "--q", "3", "--init-node", "7"],
+    }
+    artifacts = {"cluster": ("labels.csv", "consensus.csv", "report.json"), "phases": ("phases.csv",)}
+    for command, args in argv.items():
+        runs = [tmp_path / command / run for run in "ab"]
+        for out in runs:
+            assert main(args + ["--input", str(clouds_csv), "--out", str(out)]) == 0
+        for name in artifacts[command]:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_missing_input_exits_2(tmp_path):
     code = main(["cluster", "--input", str(tmp_path / "nope.csv"), "--eps", "0.1", "--q", "2", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -328,6 +343,8 @@ def test_failed_cluster_run_writes_no_report_and_no_run_json(tmp_path, clouds_cs
         (["gen", "--kind", "sticks-uniform", "--jitter", "inf"], "jitter must be finite, got inf"),
         (["gen", "--kind", "sticks-uniform", "--length", "inf"], "length must be finite, got inf"),
         (["gen", "--kind", "sticks-nonuniform", "--gap", "1e308"], "gap=1e+308"),
+        (["gen", "--kind", "annuli", "--radii", "1e308,1.7e308", "--width", "1e307"], "radii=[1e+308, 1.7e+308]"),
+        (["gen", "--kind", "annuli", "--radii", "1e-300,1", "--width", "1e-301"], "radii=[1e-300, 1.0]"),
     ],
 )
 def test_generator_parameters_that_overflow_exit_2_naming_them(tmp_path, capsys, argv, named):
@@ -335,6 +352,26 @@ def test_generator_parameters_that_overflow_exit_2_naming_them(tmp_path, capsys,
     assert main(argv + ["--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())  # no artifact written
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "--eps", "0.5"],
+        ["phases", "--eps", "0.5", "--init-node", "0"],
+        ["cluster", "--eps", "0.5", "--q", "2"],
+        ["spectral", "--eps", "0.5", "--q", "2"],
+        ["kernel", "--kind", "P", "--eps", "0.5"],
+        ["experiment", "eps-sweep", "--eps-grid", "0.5"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_points_whose_distances_overflow_exit_2_naming_them(tmp_path, capsys, argv):
+    path = tmp_path / "far.csv"
+    path.write_text("x0,x1,label\n1e200,0,0\n-1e200,0,1\n0,0,0\n")
+    assert main(argv + ["--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "points 0 and 1 are too far apart: their squared distance overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

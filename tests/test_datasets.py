@@ -248,3 +248,9 @@ def test_points_csv_roundtrip_bit_exact(tmp_path):
     loaded = load_points_csv(path)
     assert np.array_equal(loaded.points, bare.points)
     assert loaded.truth is None
+
+
+@pytest.mark.parametrize("radii", [[1e308, 1.7e308], [1e-300, 1.0], [0.0, 1.0], [-1.0, 1.0], [0.4, np.inf]])
+def test_radius_proportional_counts_rejects_radii_without_finite_counts(radii):
+    with pytest.raises(ParameterError, match="radii"):
+        radius_proportional_counts(radii, 40)

@@ -16,6 +16,7 @@ from qtclust import (
     phase_field,
     run_qtc,
     build_graph,
+    spectral_source,
 )
 
 from conftest import consensus_oracle, pairwise_grouping, permutation_equivalent
@@ -151,7 +152,7 @@ def test_run_qtc_uses_every_node_when_m_prime_is_m():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0)], 0.1, 12, seed=0)
     graph = build_graph(pts, 0.2)
     eig = eigendecompose(graph.hamiltonian)
-    _, init_nodes = run_qtc(eig, 0.01, 2, m_prime=24, seed=5)
+    _, init_nodes = run_qtc(eig.size, spectral_source(eig, 0.01), 2, m_prime=24, seed=5)
     assert sorted(init_nodes.tolist()) == list(range(24))
 
 
@@ -159,8 +160,8 @@ def test_run_qtc_deterministic():
     pts = gen_gaussian_clouds([(0, 0), (0.6, 0)], 0.1, 15, seed=1)
     graph = build_graph(pts, 0.2)
     eig = eigendecompose(graph.hamiltonian)
-    omega_a, init_a = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
-    omega_b, init_b = run_qtc(eig, 0.01, 2, m_prime=10, seed=7)
+    omega_a, init_a = run_qtc(eig.size, spectral_source(eig, 0.01), 2, m_prime=10, seed=7)
+    omega_b, init_b = run_qtc(eig.size, spectral_source(eig, 0.01), 2, m_prime=10, seed=7)
     assert np.array_equal(omega_a, omega_b)
     assert np.array_equal(init_a, init_b)
     assert not omega_a.flags.writeable
@@ -171,7 +172,7 @@ def test_run_qtc_rejects_oversized_m_prime():
     graph = build_graph(pts, 0.3)
     eig = eigendecompose(graph.hamiltonian)
     with pytest.raises(ParameterError):
-        run_qtc(eig, 0.01, 2, m_prime=11, seed=0)
+        run_qtc(eig.size, spectral_source(eig, 0.01), 2, m_prime=11, seed=0)
 
 
 def test_run_qtc_three_clouds_mostly_truth():
@@ -180,8 +181,8 @@ def test_run_qtc_three_clouds_mostly_truth():
     eig = eigendecompose(graph.hamiltonian)
     from qtclust import LaplaceParams, gap_stats, select_s
 
-    s = select_s(gap_stats(eig, 3), LaplaceParams())
-    omega, _ = run_qtc(eig, s, 3, m_prime=50, seed=0)
+    s = select_s(gap_stats(eig.energies, 3), LaplaceParams())
+    omega, _ = run_qtc(eig.size, spectral_source(eig, s), 3, m_prime=50, seed=0)
     hits = sum(partitions_equivalent(omega[:, k], pts.truth, 3) for k in range(50))
     assert hits >= 45  # at least 90 percent of the ensemble
     labels, tally = majority_partition(omega, 3)
@@ -239,7 +240,7 @@ def test_run_qtc_matches_per_column_reference(monkeypatch, method):
     m, m_prime, s, seed = 36, 25, 0.02, 11
     # seven start nodes per block, so the 25 columns span four blocks
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * m * 7)
-    omega, got_init_nodes = run_qtc(eig, s, 3, m_prime=m_prime, seed=seed, method=method)
+    omega, got_init_nodes = run_qtc(eig.size, spectral_source(eig, s), 3, m_prime=m_prime, seed=seed, method=method)
     rng = np.random.default_rng(seed)
     init_nodes = rng.choice(m, size=m_prime, replace=False)
     col_seeds = rng.integers(0, 2**63 - 1, size=m_prime)

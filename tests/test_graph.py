@@ -226,3 +226,12 @@ def test_gaussian_adjacency_in_place_is_bit_identical():
 def test_pointset_truth_length_checked():
     with pytest.raises(InputError):
         PointSet(np.zeros((3, 2)), truth=[0, 1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pairwise_distances_overflow_names_the_points():
+    # each point is within 1e154 of the origin, but points 1 and 3 are 1.6e154 apart
+    x = np.array([[0.0, 0.0], [8e153, 0.0], [0.0, 1.0], [-8e153, 0.0]])
+    with pytest.raises(InputError, match="points 1 and 3 are too far apart"):
+        pairwise_distances(x)
+    assert pairwise_distances(np.array([[1e153, 0.0], [-1e153, 0.0]]))[0, 1] == 2e153

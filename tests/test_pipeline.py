@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from qtclust import ensemble, pipeline
 from qtclust import (
     LaplaceParams,
     ParameterError,
@@ -89,3 +92,45 @@ def test_build_graph_needs_eps_or_r_eps(three_clouds):
         build_graph(three_clouds)
     with pytest.raises(ParameterError):
         build_graph(three_clouds, dist=pairwise_distances(three_clouds))
+
+
+def test_qtc_takes_the_solve_route_when_six_start_nodes_per_node_fit(monkeypatch, three_clouds):
+    routes = []
+    for name in ("eigendecompose", "low_energies"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, _real=real, _name=name: routes.append(_name) or _real(*args))
+    m = three_clouds.m
+    solved = qtc(three_clouds, eps=0.1, q=3, m_prime=m // 6, seed=0)
+    summed = qtc(three_clouds, eps=0.1, q=3, m_prime=m // 6 + 1, seed=0)
+    assert routes == ["low_energies", "eigendecompose"]
+    assert solved.s == pytest.approx(summed.s, rel=1e-10)
+    assert np.array_equal(solved.labels, summed.labels)
+    assert ari(solved.labels, three_clouds.truth) == 1.0
+
+
+def test_solve_route_factors_once_after_h_is_freed(monkeypatch, three_clouds):
+    hamiltonians = []
+    real_build = pipeline.build_graph
+
+    def build_graph_spy(*args, **kwargs):
+        graph = real_build(*args, **kwargs)
+        hamiltonians.append(weakref.ref(graph.hamiltonian))
+        return graph
+
+    h_alive_at_solve = []
+    real_solve = np.linalg.solve
+
+    def solve_spy(a, b):
+        h_alive_at_solve.append(hamiltonians[-1]() is not None)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(pipeline, "build_graph", build_graph_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    # four start nodes per block, so the 30 start nodes span eight blocks
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * three_clouds.m * 4)
+    first = qtc(three_clouds, eps=0.1, q=3, m_prime=30, seed=2)
+    assert h_alive_at_solve == [False]
+    second = qtc(three_clouds, eps=0.1, q=3, m_prime=30, seed=2)
+    assert first.s == second.s
+    assert np.array_equal(first.labels, second.labels)
+    assert np.array_equal(first.consensus, second.consensus)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qtclust import (
-    EigenSystem,
     InputError,
     ParameterError,
     PointSet,
@@ -12,6 +11,7 @@ from qtclust import (
     gen_gaussian_clouds,
     gen_tetrahedron,
     build_graph,
+    low_energies,
 )
 from qtclust.graph import gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
 
@@ -100,13 +100,13 @@ def test_zero_modes_count_connected_components():
 
 def test_gap_stats_small_examples():
     eig = eigendecompose(np.diag([0.0, 0.1, 2.0]))
-    rep = gap_stats(eig, 2)
+    rep = gap_stats(eig.energies, 2)
     assert rep.first_gap == pytest.approx(0.1, abs=1e-12)
     assert rep.avg_gap == pytest.approx(0.1, abs=1e-12)
     assert rep.next_ratio == pytest.approx(20.0, rel=1e-9)
 
     eig = eigendecompose(np.diag([0.0, 0.1, 0.2, 3.0]))
-    rep = gap_stats(eig, 3)
+    rep = gap_stats(eig.energies, 3)
     assert rep.avg_gap == pytest.approx(0.1, abs=1e-12)
     assert rep.next_ratio == pytest.approx(15.0, rel=1e-9)
 
@@ -114,37 +114,36 @@ def test_gap_stats_small_examples():
 def test_gap_stats_validates_q():
     eig = eigendecompose(np.diag([0.0, 1.0]))
     with pytest.raises(ParameterError):
-        gap_stats(eig, 1)
+        gap_stats(eig.energies, 1)
     with pytest.raises(ParameterError):
-        gap_stats(eig, 3)
+        gap_stats(eig.energies, 3)
 
 
 def test_count_low_energy_explicit_spectrum():
     energies = np.array([0.0, 1e-6, 1e-6, 0.5, 0.6, 0.7])
-    eig = EigenSystem(energies=energies, modes=np.eye(6))
-    assert count_low_energy(eig) == 3
+    assert count_low_energy(energies) == 3
 
 
 def test_count_low_energy_single_cloud():
     pts = gen_gaussian_clouds([(0.0, 0.0)], 0.1, 80, seed=7)
     graph = build_graph(pts, 0.1)
     eig = eigendecompose(graph.hamiltonian)
-    assert count_low_energy(eig) == 1
+    assert count_low_energy(eig.energies) == 1
 
 
 def test_count_low_energy_tetrahedron_three_clusters():
     pts = gen_tetrahedron(q=3, sigma=0.1, n_per=60, seed=0)
     graph = build_graph(pts, 0.1)
     eig = eigendecompose(graph.hamiltonian)
-    rep = gap_stats(eig, 3)
+    rep = gap_stats(eig.energies, 3)
     assert rep.low_count == 3
-    assert count_low_energy(eig) == 3
+    assert count_low_energy(eig.energies) == 3
 
 
 def test_count_low_energy_validation():
     eig = eigendecompose(np.array([[1.0]]))
     with pytest.raises(ParameterError):
-        count_low_energy(eig)
+        count_low_energy(eig.energies)
 
 
 def test_determinism():
@@ -176,3 +175,17 @@ def test_eigendecompose_reads_lower_triangle_of_near_symmetric_input():
     a, b = eigendecompose(h), eigendecompose(lower)
     assert a.energies.tobytes() == b.energies.tobytes()
     assert a.modes.tobytes() == b.modes.tobytes()
+
+
+def test_low_energies_small_cases_and_validation():
+    # a repeated eigenvalue comes back as often as asked for, the whole spectrum when k = m
+    assert np.abs(low_energies(np.eye(12), 3) - 1.0).max() <= 1e-14
+    assert np.abs(low_energies(np.diag(np.arange(20.0)[::-1]), 20) - np.arange(20.0)).max() <= 1e-13
+    assert low_energies(np.zeros((5, 5)), 2).tolist() == [0.0, 0.0]
+    graph, _ = random_geometric_graph(3, 40)
+    assert low_energies(graph.hamiltonian, 4).tobytes() == low_energies(graph.hamiltonian, 4).tobytes()
+    for k in (0, 6):
+        with pytest.raises(ParameterError):
+            low_energies(np.eye(5), k)
+    with pytest.raises(InputError):
+        low_energies(np.array([[1.0, 0.2], [0.4, 1.0]]), 1)

@@ -12,6 +12,8 @@ from qtclust import (
     laplace_amplitudes,
     phase_field,
     select_s,
+    solve_source,
+    spectral_source,
 )
 
 from conftest import random_geometric_graph
@@ -24,7 +26,7 @@ def test_select_s_first_gap_rule():
 
 def test_select_s_avg_gap_rule():
     eig = eigendecompose(np.diag([0.0, 0.1, 0.3]))
-    gaps = gap_stats(eig, 3)
+    gaps = gap_stats(eig.energies, 3)
     assert select_s(gaps, LaplaceParams(rule="avg_gap", multiplier=1.0)) == pytest.approx(0.15)
 
 
@@ -162,3 +164,31 @@ def test_laplace_amplitudes_validation():
     for s in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ParameterError):
             laplace_amplitudes(eig, [0], s)
+
+
+def test_solve_source_phases_match_spectral_sum():
+    # both routes at small m, in blocks of every width: the phases agree within 1e-10 rad.  The
+    # bandwidth is the median distance, so no amplitude is small enough for rounding to move its phase
+    rng = np.random.default_rng(3)
+    for seed in range(8):
+        m = int(rng.integers(6, 40))
+        graph, eig = random_geometric_graph(seed + 500, m, eps=0.5)
+        init = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        s = float(rng.uniform(0.05, 2.0))
+        width = int(rng.integers(1, init.size + 1))
+        solved = list(solve_source(graph.hamiltonian, s)(init, width))
+        summed = list(spectral_source(eig, s)(init, width))
+        assert [b.shape for b in solved] == [b.shape for b in summed]
+        assert sum(b.shape[1] for b in solved) == init.size
+        gap = np.angle(np.hstack(solved) / laplace_amplitudes(eig, init, s))
+        assert np.abs(gap).max() <= 1e-10
+
+
+def test_solve_source_validation():
+    graph, _ = random_geometric_graph(1, 10)
+    for bad in ([10], [-1, 2], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ParameterError):
+            next(solve_source(graph.hamiltonian, 0.5)(np.asarray(bad), 1))
+    for s in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            solve_source(graph.hamiltonian, s)
