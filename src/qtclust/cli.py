@@ -227,7 +227,7 @@ def cmd_cluster(args) -> None:
         if points.truth is not None:
             report["ari_vs_truth"] = ari(result.labels, points.truth)
     if result.consensus is not None:
-        io.save_matrix_csv(out / "consensus.csv", result.consensus)
+        io.save_matrix_csv(out / "consensus.csv", result.consensus, levels=result.init_nodes.size)
     _write_json(out / "report.json", report)
     _write_run_json(out, args, {"s": result.s, "r_eps": result.r_eps, "init_nodes": result.init_nodes})
     print(f"wrote {out / 'report.json'}")

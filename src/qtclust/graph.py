@@ -77,13 +77,14 @@ def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
         raise InputError("points contain non-finite coordinates")
     m, d = x.shape
     out = np.empty((m, m))
-    # chunk rows so the (rows, m, d) scratch block stays small; a 1 MiB block
-    # made a process's peak RSS swing ~6 MiB with the input at m=900 (heap layout)
-    step = max(1, (16 << 20) // max(1, 8 * m * d))
+    # row tiles of about 1 MiB of output, or of (rows, m, d) scratch from 8 dimensions on.  The tile
+    # moves the peak RSS through heap layout: on nonuniform sticks (m=900, d=2) a process that ran
+    # the sticks benchmark peaked at 80.4-81.5 MiB, against 84.6-87.1 MiB with 16 MiB (rows, m, d)
+    # blocks (10 runs each)
+    step = max(1, _tile_rows(m) // (d if d >= 8 else 1))
     for lo in range(0, m, step):
         with np.errstate(over="ignore"):
-            diff = x[lo : lo + step, None, :] - x[None, :, :]
-            squared = (diff * diff).sum(axis=-1)
+            squared = _sq_dist(x, x[lo : lo + step])
         if np.isinf(squared.max()):
             i, j = np.argwhere(np.isinf(squared))[0]
             raise InputError(
@@ -91,6 +92,23 @@ def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
                 "(coordinate differences must stay below ~1.3e154)"
             )
         np.sqrt(squared, out=out[lo : lo + step])
+    return out
+
+
+def _sq_dist(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from centers (..., d) to the n points x (n, d), shape (..., n).
+
+    Bit for bit ``((x - c) ** 2).sum(axis=-1)``.  numpy adds fewer than
+    eight terms in order, so below eight dimensions the sum is accumulated
+    one dimension at a time, an order of magnitude faster than reducing a
+    short last axis; from eight on numpy sums pairwise, and so does this.
+    """
+    d = x.shape[1]
+    if d >= 8:
+        return ((x - centers[..., None, :]) ** 2).sum(axis=-1)
+    out = (x[:, 0] - centers[..., 0, None]) ** 2
+    for j in range(1, d):
+        out += (x[:, j] - centers[..., j, None]) ** 2
     return out
 
 
@@ -156,18 +174,26 @@ def _tile_rows(m: int) -> int:
     return max(1, (1 << 20) // (8 * max(m, 1)))
 
 
+def _tile_side(m: int) -> int:
+    """Side of a square tile of an m x m float matrix that holds about as much as ``_tile_rows(m)`` rows."""
+    return max(1, math.isqrt(_tile_rows(m) * m))
+
+
 def _check_symmetric(a: np.ndarray, tol: float, message: str) -> None:
-    """Raise ``InputError(message)`` unless |a - a^T| <= tol, checked one tile of rows at a time."""
-    step = _tile_rows(a.shape[0])
-    for lo in range(0, a.shape[0], step):
-        if np.abs(a[lo : lo + step] - a[:, lo : lo + step].T).max() > tol:
-            raise InputError(message)
+    """Raise ``InputError(message)`` unless |a - a^T| <= tol, checked one pair of square tiles at a time."""
+    m = a.shape[0]
+    step = _tile_side(m)
+    for lo in range(0, m, step):
+        for lo2 in range(lo, m, step):
+            rows, cols = slice(lo, lo + step), slice(lo2, lo2 + step)
+            if np.abs(a[rows, cols] - a[cols, rows].T).max() > tol:
+                raise InputError(message)
 
 
 def _symmetrize(h: np.ndarray) -> None:
     """Replace h by (h + h^T) / 2 in place, one pair of square tiles at a time."""
     m = h.shape[0]
-    step = max(1, math.isqrt(_tile_rows(m) * m))
+    step = _tile_side(m)
     for lo in range(0, m, step):
         for lo2 in range(lo, m, step):
             rows, cols = slice(lo, lo + step), slice(lo2, lo2 + step)

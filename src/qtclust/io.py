@@ -111,18 +111,28 @@ def load_points_csv(path) -> PointSet:
     return PointSet(points=np.asarray(coords, dtype=float), truth=truth)
 
 
-def save_matrix_csv(path, matrix: np.ndarray) -> None:
+def save_matrix_csv(path, matrix: np.ndarray, levels: int | None = None) -> None:
     """Plain numeric grid, row-major, no header.
 
     Each row is ``",".join(_FMT % v for v in row)`` plus a newline.  The rows
-    go out in blocks of about ``_WRITE_BLOCK`` entries; each distinct value
-    of a block is formatted once and the rows are built by table lookup, so
-    a consensus matrix (at most m' + 1 distinct values) costs little more
-    than its bytes.
+    go out in blocks of about ``_WRITE_BLOCK`` entries, and the rows of a
+    block are built by lookup in a table of formatted values.  By default
+    each block's distinct values are found by ``np.unique`` and formatted
+    once.  A caller that knows every entry is k / ``levels`` for an integer
+    k in [0, levels], as a consensus matrix of ``levels`` start nodes is,
+    passes ``levels``: the levels + 1 values are formatted once for the whole
+    file and each entry's k is recovered by rounding, with no sort.  An entry
+    that is not k / levels bit for bit, NaN included, raises ``ParameterError``
+    once the rows of the blocks before it are written.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     if arr.ndim != 2:
         raise InputError(f"matrix must be 1-D or 2-D, got shape {arr.shape}")
+    if levels is not None:
+        if not (isinstance(levels, (int, np.integer)) and levels >= 1):
+            raise ParameterError(f"levels must be a positive integer, got {levels!r}")
+        grid = np.arange(levels + 1) / levels
+        table = _cell_table(grid)
     n = arr.shape[1]
     with open_for_writing(path) as fh:
         if n == 0:  # rows without cells are bare newlines
@@ -131,14 +141,34 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
         step = max(1, _WRITE_BLOCK // n)
         for lo in range(0, arr.shape[0], step):
             block = np.ascontiguousarray(arr[lo : lo + step])
-            # distinct values by bits: -0.0 stays apart from 0.0, and every NaN and inf is kept
-            keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            # one % formats each distinct value once, comma included; "\0" separates the entries
-            table = ((_FMT + ",\0") * keys.size % tuple(keys.view(np.float64).tolist())).split("\0")
-            cells = np.array(table, dtype=object)[inverse.reshape(-1)].tolist()
+            if levels is None:
+                # distinct values by bits: -0.0 stays apart from 0.0, and every NaN and inf is kept
+                keys, index = np.unique(block.view(np.int64), return_inverse=True)
+                table = _cell_table(keys.view(np.float64))
+            else:
+                index = _grid_index(block, grid, levels)
+            cells = table[index.reshape(-1)].tolist()
             # the last cell of each row trades its comma for the newline
             cells[n - 1 :: n] = [cell[:-1] + "\n" for cell in cells[n - 1 :: n]]
             fh.write("".join(cells))
+
+
+def _cell_table(values: np.ndarray) -> np.ndarray:
+    """Object array of ``_FMT % v + ","`` for each of ``values``."""
+    # one % formats every value, comma included; "\0" separates the entries
+    return np.array(((_FMT + ",\0") * values.size % tuple(values.tolist())).split("\0"), dtype=object)
+
+
+def _grid_index(block: np.ndarray, grid: np.ndarray, levels: int) -> np.ndarray:
+    """k with ``grid[k]`` bit for bit equal to each entry of ``block``; ``ParameterError`` if there is none."""
+    off_grid = ParameterError(f"matrix entries must be k / {levels} for integers k in [0, {levels}]")
+    # a NaN minimum or maximum fails its comparison; entries in [0, 1] round to k in [0, levels]
+    if not (block.min() >= 0.0 and block.max() <= 1.0):
+        raise off_grid
+    k = np.rint(block * levels).astype(np.intp)
+    if (grid[k].view(np.int64) != block.view(np.int64)).any():
+        raise off_grid
+    return k
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError
+from .graph import _sq_dist
 
 # budget of the (restarts, k, n) distance array of one Lloyd batch in kmeans
 _BATCH_BYTES = 16 << 20
@@ -104,23 +105,6 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     batches = [_lloyd(x, centers[lo : lo + width], _MAX_ITER, _TOL) for lo in range(0, _N_RESTARTS, width)]
     labels, wcss = (np.concatenate(parts) for parts in zip(*batches))
     return labels[int(wcss.argmin())]
-
-
-def _sq_dist(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from centers (..., d) to the n points, shape (..., n).
-
-    Bit for bit ``((x - c) ** 2).sum(axis=-1)``.  numpy adds fewer than
-    eight terms in order, so below eight dimensions the sum is accumulated
-    one dimension at a time, an order of magnitude faster than reducing a
-    short last axis; from eight on numpy sums pairwise, and so does this.
-    """
-    d = x.shape[1]
-    if d >= 8:
-        return ((x - centers[..., None, :]) ** 2).sum(axis=-1)
-    out = (x[:, 0] - centers[..., 0, None]) ** 2
-    for j in range(1, d):
-        out += (x[:, j] - centers[..., j, None]) ** 2
-    return out
 
 
 def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -114,31 +114,35 @@ def low_energies(matrix: np.ndarray, k: int) -> np.ndarray:
     and keeps only the directions the basis does not already hold (see
     :func:`_new_directions`).  The Rayleigh-Ritz values of the basis are
     taken whenever it has grown by a quarter since the last time, so their
-    cost stays a fixed multiple of the last one.  The run stops when each of
-    the k lowest has a residual ||H x - theta x|| of at most ``LANCZOS_TOL``
-    or when the basis spans the whole space; if the basis stops growing
-    before that, ``NumericError``.  Checked and clamped like
-    :func:`eigendecompose`.
+    cost stays a fixed multiple of the last one.  The images H V are kept
+    next to the basis V, so H is read once per step and never for a
+    residual, at the cost of a second array the size of the basis.  The run
+    stops when each of the k lowest has a residual ||H x - theta x|| of at
+    most ``LANCZOS_TOL`` or when the basis spans the whole space; if the
+    basis stops growing before that, ``NumericError``.  Checked and clamped
+    like :func:`eigendecompose`.
     """
     h = _symmetric_matrix(matrix)
     m = h.shape[0]
     if not 1 <= k <= m:
         raise ParameterError(f"k must be between 1 and {m}, got {k}")
     basis = np.empty((m, 0))
+    images = np.empty((m, 0))  # H V, so that a Ritz residual reads no H
     projected = np.empty((0, 0))  # V^T H V, lower triangle only: eigh reads no other entry
     block = _new_directions(np.random.default_rng(0).standard_normal((m, min(m, max(k, _MIN_BLOCK)))), basis)
     check = 0
     while block.shape[1]:
         product = h @ block
         basis = np.hstack([basis, block])
+        images = np.hstack([images, product])
         projected = np.block([[projected, np.zeros((projected.shape[0], block.shape[1]))], [product.T @ basis]])
         if basis.shape[1] >= check or basis.shape[1] == m:
-            ritz, residual = _ritz_pairs(h, basis, projected, k)
+            ritz, residual = _ritz_pairs(images, basis, projected, k)
             if basis.shape[1] == m or (residual <= LANCZOS_TOL).all():
                 return _clamped(ritz)
             check = basis.shape[1] * 5 // 4
         block = _new_directions(product, basis)
-    ritz, residual = _ritz_pairs(h, basis, projected, k)
+    ritz, residual = _ritz_pairs(images, basis, projected, k)
     if (residual <= LANCZOS_TOL).all():
         return _clamped(ritz)
     raise NumericError(
@@ -147,11 +151,14 @@ def low_energies(matrix: np.ndarray, k: int) -> np.ndarray:
     )
 
 
-def _ritz_pairs(h: np.ndarray, basis: np.ndarray, projected: np.ndarray, k: int):
-    """The k lowest Rayleigh-Ritz values of H on the orthonormal ``basis`` and their residuals ||H x - theta x||."""
+def _ritz_pairs(images: np.ndarray, basis: np.ndarray, projected: np.ndarray, k: int):
+    """The k lowest Rayleigh-Ritz values of H on the orthonormal ``basis`` and their residuals ||H x - theta x||.
+
+    With x = V y, H x is ``images`` y, where ``images`` holds H V, so H is not read again.
+    """
     ritz, vectors = np.linalg.eigh(projected)
-    x = basis @ vectors[:, :k]
-    return ritz[:k], np.linalg.norm(h @ x - x * ritz[:k], axis=0)
+    y = vectors[:, :k]
+    return ritz[:k], np.linalg.norm(images @ y - (basis @ y) * ritz[:k], axis=0)
 
 
 def _new_directions(block: np.ndarray, basis: np.ndarray) -> np.ndarray:

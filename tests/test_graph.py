@@ -39,6 +39,13 @@ def test_distance_matches_double_loop_exactly():
                 (x[i, 0] - x[j, 0]) ** 2 + (x[i, 1] - x[j, 1]) ** 2 + (x[i, 2] - x[j, 2]) ** 2
             )
             assert r[i, j] == expected
+    # both branches of the shared kernel: in-order sums below 8 dimensions, numpy's pairwise sum from 8 on
+    for d in (1, 2, 7, 8, 9):
+        x = rng.normal(size=(13, d)) * rng.uniform(0.5, 2e3, size=d)
+        r = pairwise_distances(x)
+        for i in range(13):
+            for j in range(13):
+                assert r[i, j] == np.sqrt(((x[i] - x[j]) ** 2).sum())
 
 
 def test_distance_symmetry_and_triangle_inequality():
@@ -204,6 +211,9 @@ def test_laplacians_in_place_build_is_bit_identical(monkeypatch, tile_rows):
     assert g.hamiltonian.tobytes() == _reference_hamiltonian(a).tobytes()
 
 
+OFF_DIAGONAL_11 = [(i, j) for i in range(11) for j in range(11) if i != j]
+
+
 def test_laplacians_tiled_symmetry_check_sees_every_tile(monkeypatch):
     monkeypatch.setattr(graph_module, "_tile_rows", lambda m: 3)
     a = np.ones((10, 10))
@@ -214,6 +224,17 @@ def test_laplacians_tiled_symmetry_check_sees_every_tile(monkeypatch):
     a[0, 9] = 1.0 + 1e-9
     with pytest.raises(InputError):
         laplacians(a)
+    # square tiles of side 3, 5 and 8, none of which divides m = 11: every entry above and below the
+    # diagonal is compared, beyond the 1e-12 tolerance it raises, within it it passes
+    for tile_rows in (1, 3, 7):
+        monkeypatch.setattr(graph_module, "_tile_rows", lambda m, rows=tile_rows: rows)
+        for i, j in OFF_DIAGONAL_11:
+            a = np.ones((11, 11))
+            a[i, j] += 2e-12
+            with pytest.raises(InputError):
+                laplacians(a)
+            a[i, j] = 1.0 + 5e-13
+            laplacians(a)
 
 
 def test_gaussian_adjacency_in_place_is_bit_identical():
@@ -235,3 +256,12 @@ def test_pairwise_distances_overflow_names_the_points():
     with pytest.raises(InputError, match="points 1 and 3 are too far apart"):
         pairwise_distances(x)
     assert pairwise_distances(np.array([[1e153, 0.0], [-1e153, 0.0]]))[0, 1] == 2e153
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pairwise_distances_overflow_in_a_later_tile_names_the_points(monkeypatch):
+    monkeypatch.setattr(graph_module, "_tile_rows", lambda m: 2)
+    x = np.zeros((7, 9))
+    x[4, 8], x[6, 8] = 8e153, -8e153
+    with pytest.raises(InputError, match="points 4 and 6 are too far apart"):
+        pairwise_distances(x)

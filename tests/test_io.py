@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtclust import InputError
+from qtclust import InputError, ParameterError
 from qtclust import io as qio
 from qtclust.io import load_matrix_csv, save_matrix_csv
 
@@ -44,6 +44,12 @@ def test_save_matrix_one_dimensional_is_one_row(tmp_path):
 def test_save_matrix_rejects_three_dimensional_input(tmp_path):
     with pytest.raises(InputError):
         save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("levels", [0, -3, 2.5])
+def test_save_matrix_levels_must_be_a_positive_integer(tmp_path, levels):
+    with pytest.raises(ParameterError, match="levels must be a positive integer"):
+        save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2)), levels=levels)
 
 
 @pytest.mark.parametrize("bound", [1, 7])

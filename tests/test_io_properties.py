@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qtclust import io as qio
+from qtclust.errors import ParameterError
 from qtclust.io import save_matrix_csv
 
 from conftest import FLOAT_SPECIALS, matrix_csv_oracle
@@ -18,6 +19,7 @@ from conftest import FLOAT_SPECIALS, matrix_csv_oracle
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_save_matrix_matches_per_entry_oracle_property(tmp_path, data):
     shape = data.draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
     values = st.sampled_from(FLOAT_SPECIALS) | st.floats()
@@ -29,4 +31,20 @@ def test_save_matrix_matches_per_entry_oracle_property(tmp_path, data):
     path = tmp_path / "m.csv"
     with mock.patch.object(qio, "_WRITE_BLOCK", bound):
         save_matrix_csv(path, matrix)
-    assert path.read_bytes() == matrix_csv_oracle(matrix)
+        assert path.read_bytes() == matrix_csv_oracle(matrix)
+        # the levels route: counts / levels written from a table of the levels + 1 values
+        levels = data.draw(st.integers(1, 1000))
+        counts = data.draw(arrays(np.int64, shape, elements=st.integers(0, levels)))
+        grid = counts / levels
+        save_matrix_csv(path, grid, levels=levels)
+        assert path.read_bytes() == matrix_csv_oracle(grid)
+        # one entry off the grid (by half a step or by one ulp), NaN, inf, above 1, below 0, or -0.0
+        # (0 / levels is +0.0) is refused
+        k = data.draw(st.integers(0, levels - 1))
+        grid[tuple(data.draw(st.integers(0, n - 1)) for n in shape)] = data.draw(
+            st.sampled_from(
+                [(k + 0.5) / levels, np.nextafter(k / levels, 1.0), np.nan, np.inf, 1.0 + 2.0**-52, 1.5, -1.0 / levels, -0.0]
+            )
+        )
+        with pytest.raises(ParameterError):
+            save_matrix_csv(path, grid, levels=levels)

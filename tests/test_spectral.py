@@ -13,6 +13,8 @@ from qtclust import (
     build_graph,
     low_energies,
 )
+from qtclust import graph as graph_module
+from qtclust import spectral as spectral_module
 from qtclust.graph import gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
 
 from conftest import random_geometric_graph
@@ -189,3 +191,42 @@ def test_low_energies_small_cases_and_validation():
             low_energies(np.eye(5), k)
     with pytest.raises(InputError):
         low_energies(np.array([[1.0, 0.2], [0.4, 1.0]]), 1)
+
+
+@pytest.mark.parametrize("route", [eigendecompose, lambda h: low_energies(h, 3)], ids=["eigh", "lanczos"])
+@pytest.mark.parametrize("tile_rows", [1, 3, 7])
+def test_tiled_symmetry_check_sees_every_entry(monkeypatch, tile_rows, route):
+    # square tiles of side 3, 5 and 8 on an 11 x 11 matrix, so the last tile of each row is partial
+    monkeypatch.setattr(graph_module, "_tile_rows", lambda m: tile_rows)
+    b = np.random.default_rng(tile_rows).normal(size=(11, 11))
+    h = b + b.T
+    for i in range(11):
+        for j in range(11):
+            if i == j:
+                continue
+            a = h.copy()
+            a[i, j] += 2e-10
+            with pytest.raises(InputError):
+                route(a)
+            a[i, j] = h[i, j] + 5e-11
+            route(a)
+
+
+def test_lanczos_residuals_from_images_match_direct_products(monkeypatch):
+    seen = []
+
+    def checked(images, basis, projected, k):
+        ritz, residual = ritz_pairs(images, basis, projected, k)
+        x = basis @ np.linalg.eigh(projected)[1][:, :k]
+        assert np.abs(residual - np.linalg.norm(h @ x - x * ritz, axis=0)).max() <= 1e-12
+        seen.append(basis.shape[1])
+        return ritz, residual
+
+    ritz_pairs = spectral_module._ritz_pairs
+    monkeypatch.setattr(spectral_module, "_ritz_pairs", checked)
+    for seed, m, pieces in ((0, 60, 1), (1, 90, 1), (2, 120, 3)):
+        graph, eig = random_geometric_graph(seed, m, pieces=pieces)
+        h = graph.hamiltonian
+        seen.clear()
+        energies = low_energies(h, 4)
+        assert seen and np.abs(energies - eig.energies[:4]).max() <= 1e-10
