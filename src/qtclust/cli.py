@@ -22,7 +22,7 @@ from .ensemble import LABEL_METHODS
 from .errors import InputError, NumericError, ParameterError
 from .kernels import NORMALIZATIONS, jsd_matrix, laplace_similarity, spectral_cluster, transition_kernel
 from .pipeline import SUMMARIES, amplitude_source, build_graph, qtc
-from .spectral import eigendecompose, gap_stats
+from .spectral import count_low_energy, eigendecompose, gap_stats
 from .transport import S_RULES, LaplaceParams, phase_field, select_s
 
 SCHEMA = "qtclust/1"
@@ -168,7 +168,7 @@ def cmd_gen(args) -> None:
 def cmd_eigen(args) -> None:
     _, graph, eig = _graph_eig(args)
     out = _out_dir(args)
-    q = args.q if args.q else max(2, gap_stats(eig.energies, 2).low_count)
+    q = args.q if args.q else max(2, count_low_energy(eig.energies))
     gaps = gap_stats(eig.energies, min(q, eig.size))
     payload = {
         "energies": eig.energies,

@@ -11,6 +11,7 @@ from .errors import NumericError, ParameterError
 from .graph import _readonly
 from .labeling import kmeans
 from .spectral import EigenSystem
+from .transport import _check_s
 
 NORMALIZATIONS = ("none", "approach1", "approach2")
 DEGENERACY_TOL = 1e-9
@@ -154,8 +155,7 @@ def laplace_similarity(eig: EigenSystem, s: float) -> np.ndarray:
     S_ij = |<psi_i(s), psi_j(s)>| / sqrt(<psi_i, psi_i><psi_j, psi_j>) with
     spectral weights 1/(s^2 + E_n^2); unit diagonal, entries in [0, 1].
     """
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
+    _check_s(s)
     weights = 1.0 / (s * s + eig.energies**2)
     inner = (eig.modes * weights) @ eig.modes.T
     inner = (inner + inner.T) / 2.0

@@ -58,23 +58,25 @@ def amplitude_source(graph: GraphBundle, q: int, laplace: LaplaceParams, m_prime
     """Gap report, damping rate and amplitude source of a graph for ``m_prime`` start nodes.
 
     Returns ``(gaps, s, amplitudes)``, with ``amplitudes`` an amplitude source
-    for :func:`run_qtc`; the gap rule reads the band of max(q, 2) modes.  On
-    the solve route (:func:`takes_solve_route`) no eigenvector is computed:
-    e_0..e_q come from :func:`low_energies` and the amplitudes from one
-    complex LU of sI + iH, built here, so the caller can free H before the
-    solve.  Otherwise H is decomposed and the amplitudes summed over its modes.
+    for :func:`run_qtc`.  Both routes take the gap report and s from e_0..e_q,
+    q = max(q, 2), so ``gaps.low_count`` is at most q.  On the solve route
+    (:func:`takes_solve_route`) no eigenvector is computed: e_0..e_q come from
+    :func:`low_energies` and the amplitudes from one complex LU of sI + iH,
+    built here, so the caller can free H before the solve.  Otherwise H is
+    decomposed and the amplitudes summed over its modes.
     """
     h = graph.hamiltonian
     m = h.shape[0]
     q = max(q, 2)
-    if takes_solve_route(m, m_prime):
-        gaps = gap_stats(low_energies(h, min(q + 1, m)), q)
-        s = select_s(gaps, laplace)
-        return gaps, s, solve_source(h, s)
-    eig = eigendecompose(h)
-    gaps = gap_stats(eig.energies, q)
+    solve = takes_solve_route(m, m_prime)
+    if solve:
+        energies = low_energies(h, min(q + 1, m))
+    else:
+        eig = eigendecompose(h)
+        energies = eig.energies[: q + 1]
+    gaps = gap_stats(energies, q)
     s = select_s(gaps, laplace)
-    return gaps, s, spectral_source(eig, s)
+    return gaps, s, solve_source(h, s) if solve else spectral_source(eig, s)
 
 
 def qtc(

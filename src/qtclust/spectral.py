@@ -25,9 +25,9 @@ _MIN_BLOCK = 8
 class EigenSystem:
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
-    Column n of ``modes`` pairs with ``energies[n]``.  Signs are fixed so the
-    largest-magnitude entry of each column is positive, which makes repeated
-    decompositions of the same matrix reproducible.
+    Column n of ``modes`` pairs with ``energies[n]``.  A column's sign is
+    whatever the solver returned: the spectral sum, the P, S and JSD kernels
+    and the spectral embedding's k-means give the same bits either way.
     """
 
     energies: np.ndarray
@@ -89,19 +89,15 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
 
     Eigenvalues within ``CLAMP_TOL`` of zero are snapped to exactly zero: for
     a connected similarity graph the ground energy is zero analytically, and
-    downstream gap ratios should not see rounding noise there.
+    downstream gap ratios should not see rounding noise there.  The modes are
+    eigh's, C-contiguous and with no sign convention, so no m x m copy is made.
     """
     h = _symmetric_matrix(matrix)
     try:
         energies, modes = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from None
-    energies = _clamped(energies.copy())
-    cols = np.arange(modes.shape[1])
-    anchor = np.abs(modes).argmax(axis=0)
-    signs = np.sign(modes[anchor, cols])
-    signs[signs == 0.0] = 1.0
-    return EigenSystem(energies=energies, modes=modes * signs)
+    return EigenSystem(energies=_clamped(energies), modes=modes)
 
 
 def low_energies(matrix: np.ndarray, k: int) -> np.ndarray:

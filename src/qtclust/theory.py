@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InputError, InvalidBlockError, NumericError, ParameterError
 from .graph import _readonly
+from .transport import _check_s
 
 BORN_ORDERS = (1, 2, 3)
 
@@ -74,8 +75,7 @@ def tight_binding(hamiltonian: np.ndarray, orbitals: np.ndarray) -> np.ndarray:
 
 def resolvent_exact(tb: np.ndarray, s: float) -> np.ndarray:
     """(i s - h)^{-1} of the tight-binding matrix h, shifted so its ground energy, the dominant pole, is zero."""
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
+    _check_s(s)
     h = np.asarray(tb, dtype=float)
     q = h.shape[0]
     shifted = h - np.linalg.eigvalsh(h)[0] * np.eye(q)
@@ -96,8 +96,7 @@ def born_expansion(tb: np.ndarray, s: float, order: int) -> np.ndarray:
     """
     if order not in BORN_ORDERS:
         raise ParameterError(f"order must be one of {BORN_ORDERS}, got {order}")
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
+    _check_s(s)
     h = np.asarray(tb, dtype=float)
     onsite = np.diag(h) - np.linalg.eigvalsh(h)[0]
     g0 = 1.0 / (1j * s - onsite)
@@ -127,8 +126,7 @@ def two_level_phases(gap: float, s: float) -> tuple[float, float]:
     Returns (same-cluster, cross-cluster) phases; their difference
     pi/2 - arctan(gap / 2s) grows with s and saturates at pi/2.
     """
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
+    _check_s(s)
     if not (np.isfinite(gap) and gap >= 0.0):
         raise ParameterError("gap must be nonnegative and finite")
     theta_same = math.atan(gap / (2.0 * s)) - math.atan(gap / s)
@@ -186,8 +184,7 @@ def instanton_phases(params: InstantonParams, s: float) -> tuple[float, float]:
 
     Must coincide with ``two_level_phases`` evaluated at the tunneling gap.
     """
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
+    _check_s(s)
     gap = params.gap
     if gap == 0.0:
         return 0.0, math.pi / 2.0

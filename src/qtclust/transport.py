@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,21 +53,14 @@ def laplace_amplitudes(eig: EigenSystem, init_nodes, s: float) -> np.ndarray:
     sum.  The complex weights W = modes[init] / (s + i E) are laid out as
     interleaved real and imaginary columns, so one real GEMM of ``modes``
     against them yields the m x len(init_nodes) complex result in place,
-    without casting the real ``modes`` to complex.
+    without casting the real ``modes`` to complex.  As on the solve route,
+    an entry that cancels below ``UNDERFLOW_FLOOR`` keeps its rounding, and
+    :func:`phase_field` flags it.
     """
     init = _start_nodes(init_nodes, eig.size)
     _check_s(s)
     weights = eig.modes[init, :] / (s + 1j * eig.energies)
-    amplitudes = (eig.modes @ np.ascontiguousarray(weights.T).view(float)).view(complex)
-    tiny = np.abs(amplitudes) < UNDERFLOW_FLOOR
-    if tiny.any():
-        # cancellation hit the subnormal range: redo those dot products with
-        # exact accumulation so the recovered phase is meaningful
-        for i, k in zip(*np.nonzero(tiny)):
-            re = math.fsum((eig.modes[i, :] * weights[k].real).tolist())
-            im = math.fsum((eig.modes[i, :] * weights[k].imag).tolist())
-            amplitudes[i, k] = complex(re, im)
-    return amplitudes
+    return (eig.modes @ np.ascontiguousarray(weights.T).view(float)).view(complex)
 
 
 def spectral_source(eig: EigenSystem, s: float):
@@ -123,6 +115,7 @@ def _start_nodes(init_nodes, m: int) -> np.ndarray:
 
 
 def _check_s(s: float) -> None:
+    """``ParameterError`` unless s is a positive finite number."""
     if not (np.isfinite(s) and s > 0.0):
         raise ParameterError("s must be a positive finite number")
 

@@ -50,6 +50,20 @@ def two_node_eig():
     return eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
+def laplace_amplitudes_oracle(eig, init_nodes, s):
+    """Each spectral sum sum_n modes[i, n] modes[j, n] / (s + i E_n) added exactly by ``math.fsum``.
+
+    The reference for ``transport.laplace_amplitudes``: entry (i, k) is the
+    amplitude at node i of the wave started at j = init_nodes[k].
+    """
+    weights = eig.modes[np.asarray(init_nodes), :] / (s + 1j * eig.energies)
+    out = np.empty((eig.size, weights.shape[0]), dtype=complex)
+    for i, row in enumerate(eig.modes):
+        for k, w in enumerate(weights):
+            out[i, k] = complex(math.fsum((row * w.real).tolist()), math.fsum((row * w.imag).tolist()))
+    return out
+
+
 def jsd_matrix_oracle(eig):
     """The JSD kernel group by group over full m x m arrays: the reference for ``kernels.jsd_matrix``.
 

@@ -11,6 +11,7 @@ from qtclust import (
     build_graph,
     eigendecompose,
     gen_gaussian_clouds,
+    gen_tetrahedron,
     pairwise_distances,
     qtc,
     quantile_proximity,
@@ -110,6 +111,20 @@ def test_qtc_takes_the_solve_route_when_six_start_nodes_per_node_fit(monkeypatch
     assert solved.s == pytest.approx(summed.s, rel=1e-10)
     assert np.array_equal(solved.labels, summed.labels)
     assert ari(solved.labels, three_clouds.truth) == 1.0
+
+
+def test_gap_report_does_not_depend_on_the_route():
+    # four clusters asked for as three: the whole spectrum jumps above e_3, but both routes read e_0..e_q
+    points = gen_tetrahedron(q=4, sigma=0.1, n_per=100, seed=0)
+    assert pipeline.takes_solve_route(points.m, 10) and not pipeline.takes_solve_route(points.m, 100)
+    solved = qtc(points, eps=0.1, q=3, m_prime=10, seed=0, summary="majority")
+    summed = qtc(points, eps=0.1, q=3, m_prime=100, seed=0, summary="majority")
+    assert solved.gaps.low_count == summed.gaps.low_count
+    assert solved.gaps.first_gap == pytest.approx(summed.gaps.first_gap, rel=0, abs=1e-12)
+    assert solved.gaps.avg_gap == pytest.approx(summed.gaps.avg_gap, rel=0, abs=1e-12)
+    assert solved.s == pytest.approx(summed.s, rel=0, abs=1e-12)
+    # e_3 / e_2 divides energies near 1e-6 that the two routes give to ~1e-15 absolute (3e-10 apart here)
+    assert solved.gaps.next_ratio == pytest.approx(summed.gaps.next_ratio, rel=1e-8, abs=0)
 
 
 def test_solve_route_factors_once_after_h_is_freed(monkeypatch, three_clouds):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qtclust import transport
 from qtclust import (
     DegenerateGapError,
     GapReport,
@@ -16,7 +15,7 @@ from qtclust import (
     spectral_source,
 )
 
-from conftest import random_geometric_graph
+from conftest import laplace_amplitudes_oracle, random_geometric_graph
 
 
 def test_select_s_first_gap_rule():
@@ -142,18 +141,16 @@ def test_laplace_amplitudes_match_per_column_wavefunction():
             assert np.abs(amps[:, k] - column).max() <= 1e-12 * np.abs(column).max()
 
 
-def test_laplace_amplitudes_exact_fallback_below_floor(monkeypatch):
-    _, eig = random_geometric_graph(5, 30)
-    init = np.array([0, 7, 29])
-    gemm = laplace_amplitudes(eig, init, 0.4)
-    # a floor above every amplitude sends each entry through math.fsum
-    monkeypatch.setattr(transport, "UNDERFLOW_FLOOR", 1e300)
-    exact = laplace_amplitudes(eig, init, 0.4)
-    assert np.abs(exact - gemm).max() <= 1e-12 * np.abs(gemm).max()
-    with pytest.warns(RuntimeWarning, match="underflowed"):
-        column = laplace_amplitudes(eig, [7], 0.4)[:, 0]
-        phase_field(column)
-    assert np.abs(column - gemm[:, 1]).max() <= 1e-12 * np.abs(gemm).max()
+def test_laplace_amplitudes_match_exact_sum_oracle():
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        m = int(rng.integers(5, 40))
+        _, eig = random_geometric_graph(seed + 600, m)
+        init = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+        s = float(rng.uniform(0.05, 2.0))
+        amps = laplace_amplitudes(eig, init, s)
+        exact = laplace_amplitudes_oracle(eig, init, s)
+        assert np.abs(amps - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_laplace_amplitudes_validation():
