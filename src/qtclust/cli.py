@@ -62,10 +62,10 @@ def _write_run_json(out: Path, args, derived: dict) -> None:
 
 
 def _graph_eig(args):
-    """The input points, their similarity graph and its eigensystem."""
+    """The input points, the bandwidth of their similarity graph and its eigensystem; H is freed on return."""
     points = io.load_points_csv(args.input)
     graph = build_graph(points, args.eps)
-    return points, graph, eigendecompose(graph.hamiltonian)
+    return points, graph.proximity, eigendecompose(graph.hamiltonian)
 
 
 def _laplace_params(args) -> LaplaceParams:
@@ -166,7 +166,7 @@ def cmd_gen(args) -> None:
 
 
 def cmd_eigen(args) -> None:
-    _, graph, eig = _graph_eig(args)
+    _, r_eps, eig = _graph_eig(args)
     out = _out_dir(args)
     q = args.q if args.q else max(2, count_low_energy(eig.energies))
     gaps = gap_stats(eig.energies, min(q, eig.size))
@@ -175,20 +175,17 @@ def cmd_eigen(args) -> None:
         "low_count": gaps.low_count,
         "first_gap": gaps.first_gap,
         "avg_gap": gaps.avg_gap,
-        "r_eps": graph.proximity,
+        "r_eps": r_eps,
     }
     _write_json(out / "eigen.json", payload)
-    _write_run_json(out, args, {"r_eps": graph.proximity, "q": q})
+    _write_run_json(out, args, {"r_eps": r_eps, "q": q})
     print(f"wrote {out / 'eigen.json'}")
 
 
 def cmd_phases(args) -> None:
     points = io.load_points_csv(args.input)
-    graph = build_graph(points, args.eps)
-    r_eps = graph.proximity
     # one start node: the solve route from 6 nodes up
-    _, s, source = amplitude_source(graph, args.q or 2, _laplace_params(args), 1)
-    del graph  # H goes before the solve
+    r_eps, _, s, source = amplitude_source(points, args.eps, args.q or 2, _laplace_params(args), 1)
     out = _out_dir(args)
     amplitudes = next(source(np.array([args.init_node]), 1))[:, 0]
     path = out / "phases.csv"
@@ -234,7 +231,7 @@ def cmd_cluster(args) -> None:
 
 
 def cmd_spectral(args) -> None:
-    points, graph, eig = _graph_eig(args)
+    points, r_eps, eig = _graph_eig(args)
     out = _out_dir(args)
     labels = spectral_cluster(eig, args.q, seed=args.seed, normalization=args.normalization)
     io.save_labels_csv(out / "labels.csv", labels)
@@ -242,7 +239,7 @@ def cmd_spectral(args) -> None:
     if points.truth is not None:
         report["ari_vs_truth"] = ari(labels, points.truth)
     _write_json(out / "report.json", report)
-    _write_run_json(out, args, {"r_eps": graph.proximity})
+    _write_run_json(out, args, {"r_eps": r_eps})
     print(f"wrote {out / 'labels.csv'}")
 
 
@@ -253,7 +250,7 @@ def cmd_kernel(args) -> None:
         args.s_mult = getattr(args, "s_mult", LaplaceParams.multiplier)
     elif hasattr(args, "s_rule") or hasattr(args, "s_mult"):
         raise ParameterError("--s-rule and --s-mult apply to --kind S only")
-    _, graph, eig = _graph_eig(args)
+    _, r_eps, eig = _graph_eig(args)
     out = _out_dir(args)
     if args.kind == "P":
         matrix = transition_kernel(eig)
@@ -263,7 +260,7 @@ def cmd_kernel(args) -> None:
         matrix = jsd_matrix(eig)
     path = out / f"kernel_{args.kind}.csv"
     io.save_matrix_csv(path, matrix)
-    _write_run_json(out, args, {"r_eps": graph.proximity})
+    _write_run_json(out, args, {"r_eps": r_eps})
     print(f"wrote {path}")
 
 

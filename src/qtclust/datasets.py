@@ -24,13 +24,20 @@ _TETRA_VERTICES = (
 )
 
 
-def _per_component_counts(count, n_components: int) -> np.ndarray:
-    if np.isscalar(count):
-        counts = np.full(n_components, int(count))
-    else:
-        counts = np.asarray(count, dtype=int)
-        if counts.shape != (n_components,):
-            raise ParameterError(f"need one count per component, got {counts.shape}")
+def _per_component_counts(count, n_components: int, name: str) -> np.ndarray:
+    """One count per component: ``count`` for each, or one entry of ``count`` each.
+
+    ``ParameterError`` naming ``name`` for a count outside int64.
+    """
+    try:
+        if np.isscalar(count):
+            counts = np.full(n_components, int(count), dtype=int)
+        else:
+            counts = np.asarray(count, dtype=int)
+    except OverflowError:
+        raise ParameterError(f"{name} must fit in int64, got {count!r}") from None
+    if counts.shape != (n_components,):
+        raise ParameterError(f"need one count per component, got {counts.shape}")
     if (counts < 1).any():
         raise ParameterError("every component needs at least one point")
     return counts
@@ -54,7 +61,7 @@ def gen_gaussian_clouds(centers, sigma: float, n_per, seed: int = 0) -> PointSet
         raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
     if not np.isfinite(ctr).all():
         raise ParameterError(f"centers must be finite, got {ctr.tolist()!r}")
-    counts = _per_component_counts(n_per, ctr.shape[0])
+    counts = _per_component_counts(n_per, ctr.shape[0], "n_per")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         blocks = [c + sigma * rng.standard_normal((n, ctr.shape[1])) for c, n in zip(ctr, counts)]
@@ -77,8 +84,8 @@ def gen_sticks(
     concentrates them quadratically toward one end (alternating ends from
     stick to stick), producing strong density variation along each cluster.
     """
-    if n_sticks < 2:
-        raise ParameterError("need at least two sticks")
+    if not 2 <= n_sticks <= np.iinfo(np.int64).max:
+        raise ParameterError(f"n_sticks must be at least 2 and fit in int64, got {n_sticks!r}")
     if density_profile not in ("uniform", "nonuniform"):
         raise ParameterError(f"unknown density profile {density_profile!r}")
     for name, value in (("length", length), ("gap", gap), ("jitter", jitter)):
@@ -86,7 +93,7 @@ def gen_sticks(
             raise ParameterError(f"{name} must be finite, got {value!r}")
     if length <= 0.0 or gap <= 0.0 or jitter < 0.0:
         raise ParameterError("length and gap must be positive, jitter nonnegative")
-    counts = _per_component_counts(n_per, n_sticks)
+    counts = _per_component_counts(n_per, n_sticks, "n_per")
     rng = np.random.default_rng(seed)
     blocks = []
     for k in range(n_sticks):
@@ -116,7 +123,7 @@ def gen_annuli(radii, width: float, counts, seed: int = 0) -> PointSet:
         raise ParameterError("innermost band must stay at positive radius")
     if r.size > 1 and (np.diff(r) <= width).any():
         raise ParameterError("rings overlap: consecutive radii must differ by more than width")
-    n_ring = _per_component_counts(counts, r.size)
+    n_ring = _per_component_counts(counts, r.size, "counts")
     rng = np.random.default_rng(seed)
     blocks = []
     for k in range(r.size):

@@ -22,6 +22,7 @@ _FMT = "%.17g"
 # 0.25 KiB per distinct value, which the allocator keeps resident after the write; at m=600 the
 # JSD kernel's memory peak rose 2 MiB with 8192-entry blocks and 0.3 MiB with 2048.
 _WRITE_BLOCK = 1 << 11
+_INT64 = np.iinfo(np.int64)
 
 
 @contextmanager
@@ -102,13 +103,21 @@ def load_points_csv(path) -> PointSet:
             try:
                 coords.append([float(v) for v in row[: len(coord_cols)]])
                 if has_label:
-                    labels.append(int(row[-1]))
+                    labels.append(_int64_cell(row[-1], path, reader.line_num))
             except ValueError:
                 raise InputError(f"{path}, line {reader.line_num}: non-numeric cell in {row!r}") from None
     if not coords:
         raise InputError(f"{path} has no data rows")
     truth = np.asarray(labels, dtype=int) if has_label else None
     return PointSet(points=np.asarray(coords, dtype=float), truth=truth)
+
+
+def _int64_cell(cell: str, path, line: int) -> int:
+    """The integer in ``cell``; ``InputError`` naming the file and line if it lies outside int64."""
+    value = int(cell)
+    if not _INT64.min <= value <= _INT64.max:
+        raise InputError(f"{path}, line {line}: integer {cell!r} is outside the int64 range")
+    return value
 
 
 def save_matrix_csv(path, matrix: np.ndarray, levels: int | None = None) -> None:
@@ -207,7 +216,7 @@ def load_labels_csv(path) -> np.ndarray:
             if not row:
                 continue
             try:
-                idx, value = (int(v) for v in row)
+                idx, value = (_int64_cell(v, path, reader.line_num) for v in row)
             except ValueError:
                 raise InputError(f"{path}, line {reader.line_num}: expected two integer cells, got {row!r}") from None
             if idx in labels:

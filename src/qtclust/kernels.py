@@ -11,7 +11,7 @@ from .errors import NumericError, ParameterError
 from .graph import _readonly
 from .labeling import kmeans
 from .spectral import EigenSystem
-from .transport import _check_s
+from .transport import _TINY, _check_s
 
 NORMALIZATIONS = ("none", "approach1", "approach2")
 DEGENERACY_TOL = 1e-9
@@ -154,15 +154,29 @@ def laplace_similarity(eig: EigenSystem, s: float) -> np.ndarray:
 
     S_ij = |<psi_i(s), psi_j(s)>| / sqrt(<psi_i, psi_i><psi_j, psi_j>) with
     spectral weights 1/(s^2 + E_n^2); unit diagonal, entries in [0, 1].
+    ``NumericError`` naming s when a weight or a normalizer
+    sqrt(<psi_i, psi_i><psi_j, psi_j>) is not a normal finite float: on
+    unit-scale spectra, for s outside about 1e-77 to 1e80.
     """
     _check_s(s)
-    weights = 1.0 / (s * s + eig.energies**2)
-    inner = (eig.modes * weights) @ eig.modes.T
-    inner = (inner + inner.T) / 2.0
-    diag = np.diag(inner)
-    out = np.abs(inner) / np.sqrt(np.outer(diag, diag))
+    # out of range, s^2 + E^2 or the normalizer overflows or underflows, which the checks catch
+    with np.errstate(over="ignore", divide="ignore"):
+        weights = 1.0 / (s * s + eig.energies**2)
+        _check_normal(weights, s)
+        inner = (eig.modes * weights) @ eig.modes.T
+        inner = (inner + inner.T) / 2.0
+        diag = np.diag(inner)
+        norm = np.sqrt(np.outer(diag, diag))
+        _check_normal(norm, s)
+    out = np.abs(inner) / norm
     np.fill_diagonal(out, 1.0)
     return np.minimum(out, 1.0)
+
+
+def _check_normal(values: np.ndarray, s: float) -> None:
+    """``NumericError`` naming s unless every entry of ``values`` is a normal finite float."""
+    if not (values.min() >= _TINY and values.max() < np.inf):
+        raise NumericError(f"the S kernel leaves the float range at s={s!r}")
 
 
 def jsd_matrix(eig: EigenSystem) -> np.ndarray:

@@ -17,7 +17,10 @@ SUMMARIES = ("majority", "consensus", "both")
 
 @dataclass(frozen=True)
 class QTCResult:
-    """What one clustering run produced, with its start nodes and bandwidth ``r_eps``; H and the modes are not kept."""
+    """What one clustering run produced, with its start nodes and bandwidth ``r_eps``.
+
+    H is freed before the ensemble runs; neither H nor the modes are kept.
+    """
 
     labels: np.ndarray | None
     tally: PartitionTally | None
@@ -54,29 +57,31 @@ def takes_solve_route(m: int, m_prime: int) -> bool:
     return 6 * m_prime <= m
 
 
-def amplitude_source(graph: GraphBundle, q: int, laplace: LaplaceParams, m_prime: int):
-    """Gap report, damping rate and amplitude source of a graph for ``m_prime`` start nodes.
+def amplitude_source(points: PointSet, eps: float, q: int, laplace: LaplaceParams, m_prime: int):
+    """Bandwidth, gap report, damping rate and amplitude source of a point set for ``m_prime`` start nodes.
 
-    Returns ``(gaps, s, amplitudes)``, with ``amplitudes`` an amplitude source
-    for :func:`run_qtc`.  Both routes take the gap report and s from e_0..e_q,
-    q = max(q, 2), so ``gaps.low_count`` is at most q.  On the solve route
+    Returns ``(r_eps, gaps, s, amplitudes)``, with ``amplitudes`` an amplitude
+    source for :func:`run_qtc`.  The graph is built here (:func:`build_graph`
+    with ``eps``), so H is freed when this returns, on both routes.  Both
+    routes take the gap report and s from e_0..e_q, q = max(q, 2), so
+    ``gaps.low_count`` is at most q.  On the solve route
     (:func:`takes_solve_route`) no eigenvector is computed: e_0..e_q come from
     :func:`low_energies` and the amplitudes from one complex LU of sI + iH,
-    built here, so the caller can free H before the solve.  Otherwise H is
-    decomposed and the amplitudes summed over its modes.
+    of which the source keeps A only.  Otherwise H is decomposed and the
+    amplitudes summed over its modes, which the source keeps.
     """
+    graph = build_graph(points, eps)
     h = graph.hamiltonian
-    m = h.shape[0]
     q = max(q, 2)
-    solve = takes_solve_route(m, m_prime)
+    solve = takes_solve_route(points.m, m_prime)
     if solve:
-        energies = low_energies(h, min(q + 1, m))
+        energies = low_energies(h, min(q + 1, points.m))
     else:
         eig = eigendecompose(h)
         energies = eig.energies[: q + 1]
     gaps = gap_stats(energies, q)
     s = select_s(gaps, laplace)
-    return gaps, s, solve_source(h, s) if solve else spectral_source(eig, s)
+    return graph.proximity, gaps, s, solve_source(h, s) if solve else spectral_source(eig, s)
 
 
 def qtc(
@@ -93,14 +98,7 @@ def qtc(
     if summary not in SUMMARIES:
         raise ParameterError(f"summary must be one of {SUMMARIES}, got {summary!r}")
     m_prime = start_count(points.m, m_prime)
-    graph = build_graph(points, eps)
-    r_eps = graph.proximity
-    gaps, s, amplitudes = amplitude_source(graph, q, laplace, m_prime)
-    if takes_solve_route(points.m, m_prime):
-        # H goes before the solve, which runs in run_qtc.  The spectral route keeps H and the modes
-        # until qtc returns: freeing them earlier lets glibc put the later m x m arrays on the heap,
-        # which raised the peak RSS of an every-node ensemble (m' = m = 900) by 6 MiB
-        del graph
+    r_eps, gaps, s, amplitudes = amplitude_source(points, eps, q, laplace, m_prime)
     omega, init_nodes = run_qtc(points.m, amplitudes, q, m_prime=m_prime, seed=seed, method=label_method)
     labels = tally = consensus = None
     if summary in ("majority", "both"):

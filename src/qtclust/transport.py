@@ -11,6 +11,7 @@ from .errors import DegenerateGapError, ParameterError
 from .spectral import EigenSystem, GapReport
 
 UNDERFLOW_FLOOR = 1e-300
+_TINY = float(np.finfo(float).tiny)
 
 S_RULES = ("first_gap", "avg_gap", "explicit")
 
@@ -81,7 +82,8 @@ def spectral_source(eig: EigenSystem, s: float):
 def solve_source(hamiltonian: np.ndarray, s: float):
     """Amplitude source of one complex LU solve, for ``ensemble.run_qtc``.
 
-    A = s I + i H is built here, so the caller can free H before the solve.
+    A = s I + i H is built here and H is not kept, so H can be freed before
+    the solve (:func:`pipeline.amplitude_source` frees it on return).
     ``source(init_nodes, width)`` solves A psi = E, with one unit column of
     E per start node, when its first block is asked for: A is factored once
     for all start nodes, and the blocks of at most ``width`` start nodes are
@@ -115,9 +117,13 @@ def _start_nodes(init_nodes, m: int) -> np.ndarray:
 
 
 def _check_s(s: float) -> None:
-    """``ParameterError`` unless s is a positive finite number."""
-    if not (np.isfinite(s) and s > 0.0):
-        raise ParameterError("s must be a positive finite number")
+    """``ParameterError`` unless s is a finite number no smaller than the smallest normal float.
+
+    From that bound up every spectral weight modes / (s + iE) is finite; a
+    subnormal s overflows them.
+    """
+    if not (np.isfinite(s) and s >= _TINY):
+        raise ParameterError(f"s must be a finite number of at least {_TINY!r}, got {s!r}")
 
 
 def phase_field(amplitudes: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 import itertools
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from qtclust import PointSet, eigendecompose, build_graph
+from qtclust import PointSet, cli, eigendecompose, build_graph, pipeline
 from qtclust.kernels import DEGENERACY_TOL, LN2, _degenerate_groups
 
 try:
@@ -42,6 +43,24 @@ def random_geometric_graph(seed, m, d=2, eps=None, pieces=1):
     """A Gaussian similarity graph on ``random_points``, plus its eigensystem."""
     graph = build_graph(*random_points(seed, m, d, eps, pieces))
     return graph, eigendecompose(graph.hamiltonian)
+
+
+@pytest.fixture
+def hamiltonian_refs(monkeypatch):
+    """Weak references to the H of every graph that ``pipeline.build_graph`` builds, in call order.
+
+    The spy replaces ``build_graph`` in ``pipeline`` and in ``cli``, the modules that call it.
+    """
+    refs = []
+
+    def build_graph_spy(*args, **kwargs):
+        graph = build_graph(*args, **kwargs)
+        refs.append(weakref.ref(graph.hamiltonian))
+        return graph
+
+    monkeypatch.setattr(pipeline, "build_graph", build_graph_spy)
+    monkeypatch.setattr(cli, "build_graph", build_graph_spy)
+    return refs
 
 
 @pytest.fixture

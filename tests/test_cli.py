@@ -249,10 +249,11 @@ def test_non_numeric_points_cell_exits_2(tmp_path, capsys):
 
 def test_non_integer_label_cell_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
-    path.write_text("x0,x1,label\n0,0,0\n1,1,one\n")
-    code = main(["cluster", "--input", str(path), "--eps", "0.5", "--q", "2", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert f"{path}, line 3" in capsys.readouterr().err
+    for label in ("one", "99999999999999999999999"):  # the second lies outside int64
+        path.write_text(f"x0,x1,label\n0,0,0\n1,1,{label}\n")
+        code = main(["cluster", "--input", str(path), "--eps", "0.5", "--q", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{path}, line 3" in capsys.readouterr().err
 
 
 # unreadable inputs: bytes that are not UTF-8, a cell over csv's field size limit, a directory
@@ -381,6 +382,7 @@ def test_points_whose_distances_overflow_exit_2_naming_them(tmp_path, capsys, ar
         ["0,1", "0,0", "1,1"],  # duplicate index
         ["-1,1", "0,0"],  # negative index
         ["0,1", "1,x"],  # non-integer cell
+        ["0,1", "1,99999999999999999999999"],  # a label outside int64
     ],
 )
 def test_load_labels_csv_rejects_bad_indices(tmp_path, rows):
@@ -516,3 +518,87 @@ def test_nonpositive_q_and_s_options_outside_kernel_s_exit_2(tmp_path, clouds_cs
     assert code == 2
     assert option in capsys.readouterr().err
     assert not out.exists()
+
+
+_BIG = "99999999999999999999999"  # outside int64
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen", "--kind", "sticks-uniform", "--n-per", _BIG], "n_per"),
+        (["gen", "--kind", "gaussian-clouds", "--centers", "0,0;1,0", "--n-per", f"3,{_BIG}"], "n_per"),
+        (["gen", "--kind", "sticks-nonuniform", "--n-sticks", _BIG], "n_sticks"),
+        (["gen", "--kind", "annuli", "--counts", _BIG], "counts"),
+        (["gen", "--kind", "annuli", "--radii", "0.4,0.8", "--counts", f"3,{_BIG}"], "counts"),
+        (["experiment", "two-cloud", "--n-per", _BIG], "n_per"),
+        (["experiment", "spectrum-count", "--n-per", _BIG], "n_per"),
+    ],
+)
+def test_counts_outside_int64_exit_2_naming_them(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{named} must" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.fixture
+def spread_clouds_csv(tmp_path):
+    path = tmp_path / "spread.csv"
+    save_points_csv(path, gen_gaussian_clouds([(0.0, 0.0), (1.0, 0.0), (0.5, 0.9)], 0.2, 40, seed=1))
+    return path
+
+
+# m' = 100 of 120 nodes takes the spectral route, m' = 10 the solve route.  Just above the bound
+# no weight overflows, but the phases tie, which the diff labeler reports
+@pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::qtclust.FragmentationWarning")
+@pytest.mark.parametrize("extra", [[], ["--label-method", "diff"], ["--m-prime", "10"]])
+def test_subnormal_s_exits_2_naming_s(tmp_path, spread_clouds_csv, capsys, extra):
+    out = tmp_path / "c"
+    argv = ["cluster", "--input", str(spread_clouds_csv), "--eps", "0.05", "--q", "3", "--s-rule", "explicit"]
+    assert main(argv + ["--s-mult", "1e-320", "--out", str(out)] + extra) == 2
+    assert "s must be a finite number of at least 2.2250738585072014e-308, got 1e-320" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--s-mult", "2.3e-308", "--out", str(out)] + extra) == 0
+
+
+@pytest.mark.parametrize("s", ["1e-160", "1e150", "1e200"])
+def test_kernel_s_outside_the_float_range_exits_3_naming_s(tmp_path, spread_clouds_csv, capsys, s):
+    out = tmp_path / "k"
+    argv = ["kernel", "--kind", "S", "--input", str(spread_clouds_csv), "--eps", "0.05", "--s-rule", "explicit"]
+    assert main(argv + ["--s-mult", s, "--out", str(out)]) == 3
+    assert f"the S kernel leaves the float range at s={float(s)!r}" in capsys.readouterr().err
+    assert not (out / "kernel_S.csv").exists()
+    assert not (out / "run.json").exists()
+
+
+def test_kernel_s_at_a_large_in_range_s(tmp_path, spread_clouds_csv):
+    out = tmp_path / "k"
+    argv = ["kernel", "--kind", "S", "--input", str(spread_clouds_csv), "--eps", "0.05", "--s-rule", "explicit"]
+    assert main(argv + ["--s-mult", "1e76", "--out", str(out)]) == 0
+    s_matrix = load_matrix_csv(out / "kernel_S.csv")
+    assert np.array_equal(np.diag(s_matrix), np.ones(120))
+    assert 0.0 <= s_matrix.min() and s_matrix.max() <= 1.0
+    assert s_matrix.min() < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, kernel",
+    [
+        (["kernel", "--kind", "P"], "transition_kernel"),
+        (["kernel", "--kind", "S"], "laplace_similarity"),
+        (["kernel", "--kind", "jsd"], "jsd_matrix"),
+        (["spectral", "--q", "3"], "spectral_cluster"),
+    ],
+)
+def test_h_is_freed_before_the_kernels_run(monkeypatch, hamiltonian_refs, tmp_path, clouds_csv, argv, kernel):
+    h_alive_at_kernel = []
+    real = getattr(qtclust.cli, kernel)
+
+    def kernel_spy(*args, **kwargs):
+        h_alive_at_kernel.append(hamiltonian_refs[-1]() is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qtclust.cli, kernel, kernel_spy)
+    assert main(argv + ["--input", str(clouds_csv), "--eps", "0.1", "--out", str(tmp_path / "o")]) == 0
+    assert h_alive_at_kernel == [False]

@@ -1,7 +1,7 @@
 """CLI fuzzing: argv drawn from each command's options, with malformed values, exits only 0, 2 or 3.
 
 Every option a command declares is drawn as absent, a working value or a
-malformed one (non-numeric, nan, inf, 0, negative, ragged lists), together
+malformed one (non-numeric, nan, inf, 0, negative, outside int64, ragged lists), together
 with the options the command does not declare.  argparse's ``SystemExit(2)``
 counts as exit code 2; any other exception fails the test.
 """
@@ -16,7 +16,7 @@ from qtclust import gen_gaussian_clouds
 from qtclust.cli import main
 from qtclust.io import save_points_csv
 
-MALFORMED = ["abc", "nan", "inf", "-inf", "0", "-1", "1e400", ",", "1,", "0,x", "0,0;1", "0.4,nan"]
+MALFORMED = ["abc", "nan", "inf", "-inf", "0", "-1", "1e400", ",", "1,", "0,x", "0,0;1", "0.4,nan", "99999999999999999999999"]
 NUMBER = ["0.05", "0.1", "0.3", "1", "2"]
 COUNT = ["3", "5", "4,5"]
 GRAPH = {"--input": ["POINTS", "missing.csv"], "--eps": NUMBER}

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -127,23 +125,28 @@ def test_gap_report_does_not_depend_on_the_route():
     assert solved.gaps.next_ratio == pytest.approx(summed.gaps.next_ratio, rel=1e-8, abs=0)
 
 
-def test_solve_route_factors_once_after_h_is_freed(monkeypatch, three_clouds):
-    hamiltonians = []
-    real_build = pipeline.build_graph
+@pytest.mark.parametrize("m_prime", [30, 180], ids=["solve", "spectral"])
+def test_h_is_freed_before_the_ensemble_runs(monkeypatch, hamiltonian_refs, three_clouds, m_prime):
+    h_alive_at_run = []
+    real_run = pipeline.run_qtc
 
-    def build_graph_spy(*args, **kwargs):
-        graph = real_build(*args, **kwargs)
-        hamiltonians.append(weakref.ref(graph.hamiltonian))
-        return graph
+    def run_qtc_spy(*args, **kwargs):
+        h_alive_at_run.append(hamiltonian_refs[-1]() is not None)
+        return real_run(*args, **kwargs)
 
+    monkeypatch.setattr(pipeline, "run_qtc", run_qtc_spy)
+    qtc(three_clouds, eps=0.1, q=3, m_prime=m_prime, seed=0, summary="majority")
+    assert h_alive_at_run == [False]
+
+
+def test_solve_route_factors_once_after_h_is_freed(monkeypatch, hamiltonian_refs, three_clouds):
     h_alive_at_solve = []
     real_solve = np.linalg.solve
 
     def solve_spy(a, b):
-        h_alive_at_solve.append(hamiltonians[-1]() is not None)
+        h_alive_at_solve.append(hamiltonian_refs[-1]() is not None)
         return real_solve(a, b)
 
-    monkeypatch.setattr(pipeline, "build_graph", build_graph_spy)
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
     # four start nodes per block, so the 30 start nodes span eight blocks
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * three_clouds.m * 4)

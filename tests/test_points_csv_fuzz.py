@@ -1,7 +1,7 @@
 """Points-CSV fuzzing: junk file contents load as a PointSet or raise InputError, and ``eigen`` exits 0 or 2.
 
 Files are drawn from a few headers and rows of numbers, specials (``inf``,
-``nan``, overflow), junk text, NUL, a BOM, quotes, ragged rows and a cell
+``nan``, overflow, an integer outside int64), junk text, NUL, a BOM, quotes, ragged rows and a cell
 over csv's field size limit, joined by any line ending; bytes that are not
 UTF-8 are spliced in at random.
 """
@@ -18,7 +18,7 @@ from qtclust.io import load_points_csv
 
 NUMBERS = ["0", "1", "2", "7", "0.25", "-1.5", "3e-2", "-0"]
 ODD_CELLS = ["inf", "-inf", "nan", "1e400", "1e200", "-3e-320", " 1", "0x1", "1_0", "", "abc", "\x00", '"', '"1"',
-             '""', '"1,2"', "\ufeff1", "\u0661", "1" * 131073, "\r", "\n"]
+             '""', '"1,2"', "\ufeff1", "\u0661", "1" * 131073, "\r", "\n", "99999999999999999999999"]
 ODD_HEADERS = ["", "x0", "x1,x0", "\ufeffx0,x1", '"x0","x1"', "x0,,x1", "x0,x1,label,label", "X0,x1"]
 NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80abc"]
 

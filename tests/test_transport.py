@@ -158,7 +158,7 @@ def test_laplace_amplitudes_validation():
     for bad in ([10], [-1, 2], [[0, 1]], [0.0, 1.0]):
         with pytest.raises(ParameterError):
             laplace_amplitudes(eig, bad, 0.5)
-    for s in (0.0, -1.0, np.inf, np.nan):
+    for s in (0.0, -1.0, np.inf, np.nan, 1e-320):
         with pytest.raises(ParameterError):
             laplace_amplitudes(eig, [0], s)
 
@@ -186,6 +186,6 @@ def test_solve_source_validation():
     for bad in ([10], [-1, 2], [[0, 1]], [0.0, 1.0]):
         with pytest.raises(ParameterError):
             next(solve_source(graph.hamiltonian, 0.5)(np.asarray(bad), 1))
-    for s in (0.0, -1.0, np.inf, np.nan):
+    for s in (0.0, -1.0, np.inf, np.nan, 1e-320):
         with pytest.raises(ParameterError):
             solve_source(graph.hamiltonian, s)
