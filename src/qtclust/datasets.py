@@ -24,10 +24,12 @@ _TETRA_VERTICES = (
 )
 
 
-def _per_component_counts(count, n_components: int, name: str) -> np.ndarray:
+def _per_component_counts(count, n_components: int, name: str, dim: int) -> np.ndarray:
     """One count per component: ``count`` for each, or one entry of ``count`` each.
 
-    ``ParameterError`` naming ``name`` for a count outside int64.
+    ``ParameterError`` naming ``name`` for a count outside int64, or for
+    counts whose points, ``dim`` float64 coordinates each, would exceed
+    numpy's array size limit.
     """
     try:
         if np.isscalar(count):
@@ -40,6 +42,10 @@ def _per_component_counts(count, n_components: int, name: str) -> np.ndarray:
         raise ParameterError(f"need one count per component, got {counts.shape}")
     if (counts < 1).any():
         raise ParameterError("every component needs at least one point")
+    total = sum(counts.tolist())
+    if total * dim * 8 > np.iinfo(np.intp).max:
+        limit = np.iinfo(np.intp).max // (dim * 8)
+        raise ParameterError(f"{name} must give at most {limit} points in all, got {total}")
     return counts
 
 
@@ -61,7 +67,7 @@ def gen_gaussian_clouds(centers, sigma: float, n_per, seed: int = 0) -> PointSet
         raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
     if not np.isfinite(ctr).all():
         raise ParameterError(f"centers must be finite, got {ctr.tolist()!r}")
-    counts = _per_component_counts(n_per, ctr.shape[0], "n_per")
+    counts = _per_component_counts(n_per, ctr.shape[0], "n_per", ctr.shape[1])
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         blocks = [c + sigma * rng.standard_normal((n, ctr.shape[1])) for c, n in zip(ctr, counts)]
@@ -84,8 +90,9 @@ def gen_sticks(
     concentrates them quadratically toward one end (alternating ends from
     stick to stick), producing strong density variation along each cluster.
     """
-    if not 2 <= n_sticks <= np.iinfo(np.int64).max:
-        raise ParameterError(f"n_sticks must be at least 2 and fit in int64, got {n_sticks!r}")
+    # one int64 count per stick
+    if not 2 <= n_sticks <= np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"n_sticks must be at least 2 and at most {np.iinfo(np.intp).max // 8}, got {n_sticks!r}")
     if density_profile not in ("uniform", "nonuniform"):
         raise ParameterError(f"unknown density profile {density_profile!r}")
     for name, value in (("length", length), ("gap", gap), ("jitter", jitter)):
@@ -93,7 +100,7 @@ def gen_sticks(
             raise ParameterError(f"{name} must be finite, got {value!r}")
     if length <= 0.0 or gap <= 0.0 or jitter < 0.0:
         raise ParameterError("length and gap must be positive, jitter nonnegative")
-    counts = _per_component_counts(n_per, n_sticks, "n_per")
+    counts = _per_component_counts(n_per, n_sticks, "n_per", 2)
     rng = np.random.default_rng(seed)
     blocks = []
     for k in range(n_sticks):
@@ -123,7 +130,7 @@ def gen_annuli(radii, width: float, counts, seed: int = 0) -> PointSet:
         raise ParameterError("innermost band must stay at positive radius")
     if r.size > 1 and (np.diff(r) <= width).any():
         raise ParameterError("rings overlap: consecutive radii must differ by more than width")
-    n_ring = _per_component_counts(counts, r.size, "counts")
+    n_ring = _per_component_counts(counts, r.size, "counts", 2)
     rng = np.random.default_rng(seed)
     blocks = []
     for k in range(r.size):

@@ -53,7 +53,9 @@ def build_graph(
 def takes_solve_route(m: int, m_prime: int) -> bool:
     """Whether an ensemble of ``m_prime`` start nodes on ``m`` nodes takes the solve route (6 m' <= m)."""
     # peak bytes: eigh ~40 m^2 (H, numpy's copy of H, the modes, syevd's workspace); the solve
-    # ~32 m^2 + 48 m m' (A, numpy's copy of A, the right-hand side, its work copy, the output)
+    # 24 m^2 while A is built from H, then 16 m^2 + 16 m m' (A factored in place, the right-hand
+    # side solved in place).  The rule dates from an LU at 32 m^2 + 48 m m' and is kept, so every
+    # input takes the route it took then
     return 6 * m_prime <= m
 
 
@@ -66,9 +68,11 @@ def amplitude_source(points: PointSet, eps: float, q: int, laplace: LaplaceParam
     routes take the gap report and s from e_0..e_q, q = max(q, 2), so
     ``gaps.low_count`` is at most q.  On the solve route
     (:func:`takes_solve_route`) no eigenvector is computed: e_0..e_q come from
-    :func:`low_energies` and the amplitudes from one complex LU of sI + iH,
-    of which the source keeps A only.  Otherwise H is decomposed and the
-    amplitudes summed over its modes, which the source keeps.
+    :func:`low_energies` and the amplitudes from one in-place block LDL^T of
+    the complex symmetric A = sI + iH (:func:`solve_source`), which the
+    source keeps until its one call has solved for them.  Otherwise H is
+    decomposed and the amplitudes summed over its modes, which the source
+    keeps.
     """
     graph = build_graph(points, eps)
     h = graph.hamiltonian

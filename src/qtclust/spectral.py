@@ -110,13 +110,16 @@ def low_energies(matrix: np.ndarray, k: int) -> np.ndarray:
     and keeps only the directions the basis does not already hold (see
     :func:`_new_directions`).  The Rayleigh-Ritz values of the basis are
     taken whenever it has grown by a quarter since the last time, so their
-    cost stays a fixed multiple of the last one.  The images H V are kept
-    next to the basis V, so H is read once per step and never for a
-    residual, at the cost of a second array the size of the basis.  The run
-    stops when each of the k lowest has a residual ||H x - theta x|| of at
-    most ``LANCZOS_TOL`` or when the basis spans the whole space; if the
-    basis stops growing before that, ``NumericError``.  Checked and clamped
-    like :func:`eigendecompose`.
+    cost stays a fixed multiple of the last one, and not before the basis
+    has grown past the start block: a random start block can hold some
+    eigenvectors of a cluster of low energies but not others, and its Ritz
+    pairs then pass the residual test with a low energy left out.  The
+    images H V are kept next to the basis V, so H is read once per step and
+    never for a residual, at the cost of a second array the size of the
+    basis.  The run stops when each of the k lowest has a residual
+    ||H x - theta x|| of at most ``LANCZOS_TOL`` or when the basis spans the
+    whole space; if the basis stops growing before that, ``NumericError``.
+    Checked and clamped like :func:`eigendecompose`.
     """
     h = _symmetric_matrix(matrix)
     m = h.shape[0]
@@ -126,7 +129,7 @@ def low_energies(matrix: np.ndarray, k: int) -> np.ndarray:
     images = np.empty((m, 0))  # H V, so that a Ritz residual reads no H
     projected = np.empty((0, 0))  # V^T H V, lower triangle only: eigh reads no other entry
     block = _new_directions(np.random.default_rng(0).standard_normal((m, min(m, max(k, _MIN_BLOCK)))), basis)
-    check = 0
+    check = block.shape[1] + 1
     while block.shape[1]:
         product = h @ block
         basis = np.hstack([basis, block])

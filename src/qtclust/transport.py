@@ -7,11 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGapError, ParameterError
-from .spectral import EigenSystem, GapReport
+from .errors import DegenerateGapError, NumericError, ParameterError
+from .spectral import EigenSystem, GapReport, _symmetric_matrix
 
 UNDERFLOW_FLOOR = 1e-300
 _TINY = float(np.finfo(float).tiny)
+# width of the block columns of the LDL^T in solve_source
+_LDLT_BLOCK = 256
 
 S_RULES = ("first_gap", "avg_gap", "explicit")
 
@@ -80,30 +82,80 @@ def spectral_source(eig: EigenSystem, s: float):
 
 
 def solve_source(hamiltonian: np.ndarray, s: float):
-    """Amplitude source of one complex LU solve, for ``ensemble.run_qtc``.
+    """Amplitude source of one complex symmetric LDL^T solve, for ``ensemble.run_qtc``.
 
-    A = s I + i H is built here and H is not kept, so H can be freed before
-    the solve (:func:`pipeline.amplitude_source` frees it on return).
-    ``source(init_nodes, width)`` solves A psi = E, with one unit column of
-    E per start node, when its first block is asked for: A is factored once
-    for all start nodes, and the blocks of at most ``width`` start nodes are
-    column slices of that one result.
+    H must be square, finite and symmetric within 1e-10 (``InputError``
+    otherwise), because the factorization reads one triangle of A = s I + i H,
+    and is meant to be positive semidefinite, as a normalized Laplacian is:
+    the factorization does not pivot (see :func:`_ldlt_in_place`).
+    A is built here and H is not kept, so H can be freed before the solve
+    (:func:`pipeline.amplitude_source` frees it on return).  The source may
+    be called once: ``source(init_nodes, width)`` factors A in place
+    (:func:`_ldlt_in_place`), solves A psi = E with one unit column of E per
+    start node, drops A and returns an iterator over the blocks of at most
+    ``width`` start nodes, column slices of that one result.  A second call
+    raises ``ParameterError``, and a non-finite amplitude ``NumericError``.
     """
     _check_s(s)
-    h = np.asarray(hamiltonian, dtype=float)
+    h = _symmetric_matrix(hamiltonian)
     m = h.shape[0]
     a = h * 1j
     a.flat[:: m + 1] += s
 
     def blocks(init_nodes, width):
+        nonlocal a
+        if a is None:
+            raise ParameterError("a solve source yields its amplitudes once; build a new source")
         init = _start_nodes(init_nodes, m)
-        rhs = np.zeros((m, init.size), dtype=complex)
-        rhs[init, np.arange(init.size)] = 1.0
-        amplitudes = np.linalg.solve(a, rhs)
-        for lo in range(0, init.size, width):
-            yield amplitudes[:, lo : lo + width]
+        factor, a = a, None
+        amplitudes = np.zeros((m, init.size), dtype=complex)
+        amplitudes[init, np.arange(init.size)] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _ldlt_in_place(factor)
+            _ldlt_solve(factor, amplitudes)
+        if not np.isfinite(amplitudes).all():
+            raise NumericError(f"the amplitudes at s={s!r} are not finite")
+        return (amplitudes[:, lo : lo + width] for lo in range(0, init.size, width))
 
     return blocks
+
+
+def _ldlt_in_place(a: np.ndarray) -> None:
+    """Overwrite the complex symmetric A = s I + i H with its block LDL^T factors, reading A's lower triangle only.
+
+    Block column k (columns k0:k1 of ``_LDLT_BLOCK``, the last one ragged)
+    ends up holding D_k^-1 in its diagonal block and S = L D below it, and
+    L[k+1:, k]^T = D_k^-1 S[k+1:, k]^T goes into the block row right of the
+    diagonal block.  The factorization is left-looking: one GEMM subtracts
+    S[k:, :k] L[k, :k]^T from block column k, whose top block is then D_k.
+    No pivoting is needed.  The Hermitian part of A is s I > 0, and so is
+    that of every Schur complement, so no D_k is singular; with A's real part
+    positive definite and its imaginary part positive semidefinite,
+    elimination without pivoting has growth factor at most 3 (Higham 1998,
+    Math. Comp. 67:1591).
+    """
+    m = a.shape[0]
+    for k0 in range(0, m, _LDLT_BLOCK):
+        k1 = min(k0 + _LDLT_BLOCK, m)
+        col = a[k0:, k0:k1]
+        col -= a[k0:, :k0] @ a[:k0, k0:k1]
+        d = np.tril(col[: k1 - k0])
+        d += np.tril(d, -1).T
+        col[: k1 - k0] = d_inv = np.linalg.inv(d)
+        a[k0:k1, k1:] = d_inv @ col[k1 - k0 :].T
+
+
+def _ldlt_solve(factors: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite x with A^-1 x, given the factors of A from :func:`_ldlt_in_place`; one GEMM per block and sweep."""
+    m = factors.shape[0]
+    starts = range(0, m, _LDLT_BLOCK)
+    for k0 in starts:  # y_k = D_k^-1 (x_k - S[k, :k] y[:k])
+        k1 = min(k0 + _LDLT_BLOCK, m)
+        x[k0:k1] -= factors[k0:k1, :k0] @ x[:k0]
+        x[k0:k1] = factors[k0:k1, k0:k1] @ x[k0:k1]
+    for k0 in reversed(starts):  # x_k = y_k - L[k+1:, k]^T x[k+1:]
+        k1 = min(k0 + _LDLT_BLOCK, m)
+        x[k0:k1] -= factors[k0:k1, k1:] @ x[k1:]
 
 
 def _start_nodes(init_nodes, m: int) -> np.ndarray:

@@ -83,6 +83,12 @@ def laplace_amplitudes_oracle(eig, init_nodes, s):
     return out
 
 
+def solve_source_oracle(hamiltonian, s, init_nodes):
+    """(s I + i H)^-1 E, one unit column of E per start node, by LAPACK's pivoted LU: the reference for ``transport.solve_source``."""
+    m = hamiltonian.shape[0]
+    return np.linalg.solve(s * np.eye(m) + 1j * hamiltonian, np.eye(m)[:, init_nodes])
+
+
 def jsd_matrix_oracle(eig):
     """The JSD kernel group by group over full m x m arrays: the reference for ``kernels.jsd_matrix``.
 

@@ -542,6 +542,27 @@ def test_counts_outside_int64_exit_2_naming_them(tmp_path, capsys, argv, named):
     assert not out.exists() or not any(out.iterdir())
 
 
+_HUGE = "4611686018427387904"  # 2**62: inside int64, but its points exceed numpy's array size limit
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen", "--kind", "sticks-uniform", "--n-sticks", _HUGE], "n_sticks"),
+        (["gen", "--kind", "sticks-uniform", "--n-per", _HUGE], "n_per"),
+        (["gen", "--kind", "gaussian-clouds", "--centers", "0,0;1,0", "--n-per", _HUGE], "n_per"),
+        (["gen", "--kind", "annuli", "--counts", _HUGE], "counts"),
+        (["experiment", "two-cloud", "--n-per", _HUGE], "n_per"),
+        (["experiment", "spectrum-count", "--n-per", _HUGE], "n_per"),
+    ],
+)
+def test_counts_beyond_the_array_size_limit_exit_2_naming_them(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{named} must" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.fixture
 def spread_clouds_csv(tmp_path):
     path = tmp_path / "spread.csv"

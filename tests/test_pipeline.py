@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from qtclust import ensemble, pipeline
+from qtclust import ensemble, pipeline, transport
 from qtclust import (
     LaplaceParams,
     ParameterError,
@@ -140,19 +142,41 @@ def test_h_is_freed_before_the_ensemble_runs(monkeypatch, hamiltonian_refs, thre
 
 
 def test_solve_route_factors_once_after_h_is_freed(monkeypatch, hamiltonian_refs, three_clouds):
-    h_alive_at_solve = []
-    real_solve = np.linalg.solve
+    h_alive_at_factor = []
+    real_factor = transport._ldlt_in_place
 
-    def solve_spy(a, b):
-        h_alive_at_solve.append(hamiltonian_refs[-1]() is not None)
-        return real_solve(a, b)
+    def factor_spy(a):
+        h_alive_at_factor.append(hamiltonian_refs[-1]() is not None)
+        real_factor(a)
 
-    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    monkeypatch.setattr(transport, "_ldlt_in_place", factor_spy)
     # four start nodes per block, so the 30 start nodes span eight blocks
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * three_clouds.m * 4)
     first = qtc(three_clouds, eps=0.1, q=3, m_prime=30, seed=2)
-    assert h_alive_at_solve == [False]
+    assert h_alive_at_factor == [False]
     second = qtc(three_clouds, eps=0.1, q=3, m_prime=30, seed=2)
     assert first.s == second.s
     assert np.array_equal(first.labels, second.labels)
     assert np.array_equal(first.consensus, second.consensus)
+
+
+def test_solve_route_frees_the_factors_before_the_summaries(monkeypatch, three_clouds):
+    factors = []
+    factors_alive_at = []
+    real_factor = transport._ldlt_in_place
+
+    def factor_spy(a):
+        factors.append(weakref.ref(a))
+        real_factor(a)
+
+    monkeypatch.setattr(transport, "_ldlt_in_place", factor_spy)
+    for name in ("majority_partition", "consensus_matrix"):
+        real = getattr(pipeline, name)
+
+        def summary_spy(*args, _real=real, _name=name):
+            factors_alive_at.append((_name, factors[-1]() is not None))
+            return _real(*args)
+
+        monkeypatch.setattr(pipeline, name, summary_spy)
+    qtc(three_clouds, eps=0.1, q=3, m_prime=30, seed=0)
+    assert factors_alive_at == [("majority_partition", False), ("consensus_matrix", False)]

@@ -27,6 +27,7 @@ ROUNDING = 1e-14
 @example(seed=0, pieces=1, size=1, k=3)  # m = 3, below the 8-column start block
 @example(seed=1, pieces=3, size=0, k=6)  # three two-node components, k = m
 @example(seed=2, pieces=2, size=30, k=4)
+@example(seed=15288, pieces=3, size=3, k=3)  # the 8-column start block held two of the three zero modes
 def test_low_energies_match_eigvalsh(seed, pieces, size, k):
     m = 2 * pieces + size
     points, eps = random_points(seed, m, pieces=pieces)

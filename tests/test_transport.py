@@ -4,7 +4,9 @@ import pytest
 from qtclust import (
     DegenerateGapError,
     GapReport,
+    InputError,
     LaplaceParams,
+    NumericError,
     ParameterError,
     eigendecompose,
     gap_stats,
@@ -189,3 +191,26 @@ def test_solve_source_validation():
     for s in (0.0, -1.0, np.inf, np.nan, 1e-320):
         with pytest.raises(ParameterError):
             solve_source(graph.hamiltonian, s)
+    # the factorization reads one triangle of s I + i H, so an asymmetric H would be solved as another matrix
+    h = np.array(graph.hamiltonian)
+    h[0, 1] += 1e-9
+    for bad, message in ((h, "not symmetric"), (h[:, :9], "square"), (np.full((2, 2), np.nan), "non-finite")):
+        with pytest.raises(InputError, match=message):
+            solve_source(bad, 0.5)
+
+
+def test_solve_source_yields_its_amplitudes_once():
+    graph, _ = random_geometric_graph(1, 10)
+    source = solve_source(graph.hamiltonian, 0.5)
+    with pytest.raises(ParameterError):
+        source(np.array([10]), 1)  # a refused call leaves A to the next one
+    first = np.hstack(list(source(np.array([3, 1]), 1)))
+    with pytest.raises(ParameterError, match="once"):
+        source(np.array([3, 1]), 1)
+    assert np.array_equal(first, np.hstack(list(solve_source(graph.hamiltonian, 0.5)(np.array([3, 1]), 2))))
+
+
+def test_solve_source_non_finite_amplitudes_raise_numeric_error_naming_s():
+    # the exact amplitudes are about 1e300, but eliminating entries of 1e308 overflows on the way
+    with pytest.raises(NumericError, match="s=1e-300"):
+        solve_source(np.full((3, 3), 1e308), 1e-300)(np.array([0]), 1)
