@@ -56,7 +56,7 @@ from .labeling import (
     labels_circle_clustering,
     labels_direct_difference,
 )
-from .pipeline import QTCResult, amplitude_source, build_graph, qtc
+from .pipeline import QTCResult, amplitude_source, build_graph, qtc, transport_source
 from .spectral import EigenSystem, GapReport, count_low_energy, eigendecompose, gap_stats, low_energies
 from .theory import (
     InstantonParams,
@@ -68,7 +68,7 @@ from .theory import (
     tight_binding,
     two_level_phases,
 )
-from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s, solve_source, spectral_source
+from .transport import LaplaceParams, phase_field, select_s, solve_source
 
 __version__ = "0.1.0"
 
@@ -103,7 +103,6 @@ __all__ = [
     "kmeans",
     "labels_circle_clustering",
     "labels_direct_difference",
-    "laplace_amplitudes",
     "laplace_similarity",
     "LaplaceParams",
     "laplacians",
@@ -129,9 +128,9 @@ __all__ = [
     "solve_source",
     "spectral_cluster",
     "spectral_embedding",
-    "spectral_source",
     "tight_binding",
     "transition_kernel",
+    "transport_source",
     "two_cluster_outlier_distances",
     "two_level_phases",
 ]

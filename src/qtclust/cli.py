@@ -184,8 +184,7 @@ def cmd_eigen(args) -> None:
 
 def cmd_phases(args) -> None:
     points = io.load_points_csv(args.input)
-    # one start node: the solve route from 6 nodes up
-    r_eps, _, s, source = amplitude_source(points, args.eps, args.q or 2, _laplace_params(args), 1)
+    r_eps, _, s, source = amplitude_source(points, args.eps, args.q or 2, _laplace_params(args))
     out = _out_dir(args)
     amplitudes = next(source(np.array([args.init_node]), 1))[:, 0]
     path = out / "phases.csv"

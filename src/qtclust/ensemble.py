@@ -112,11 +112,12 @@ def run_qtc(
     Start nodes are drawn uniformly without replacement.  Column k of the
     read-only m x m' array ``omega`` holds labels in [0, q) derived from the
     phase field of the wave function started at ``init_nodes[k]``.  The
-    amplitude source ``amplitudes(init_nodes, width)`` yields the m x k
-    complex amplitudes of each block of at most ``width`` start nodes in
-    turn (``transport.spectral_source`` or ``transport.solve_source``).
-    Each block takes one :func:`phase_field` call and one labeler call, with
-    one phase field per row.  Fully deterministic for a fixed seed.
+    amplitude source ``amplitudes(init_nodes, width)``, called once, yields
+    the m x k complex amplitudes of each block of at most ``width`` start
+    nodes in turn (``transport.solve_source``, which solves a chunk of
+    blocks at a time).  Each block takes one :func:`phase_field` call and
+    one labeler call, with one phase field per row.  Fully deterministic for
+    a fixed seed.
     """
     m_prime = start_count(m, m_prime)
     if method not in LABEL_METHODS:

@@ -9,10 +9,10 @@ from .ensemble import majority_partition, run_qtc
 from .errors import DegenerateGapError, ParameterError
 from .graph import PointSet, pairwise_distances
 from .kernels import spectral_cluster
-from .pipeline import build_graph
+from .pipeline import build_graph, transport_source
 from .spectral import eigendecompose, gap_stats
 from .theory import born_expansion, cluster_orbitals, predicted_phases, resolvent_exact, tight_binding
-from .transport import LaplaceParams, laplace_amplitudes, phase_field, select_s, spectral_source
+from .transport import LaplaceParams, phase_field, solve_source
 
 # both phase experiments damp at 1.2 times the first spectral gap
 FIRST_GAP_S = LaplaceParams(rule="first_gap", multiplier=1.2)
@@ -55,18 +55,17 @@ def two_cloud_experiment(
         raise ParameterError(f"the cloud offset overflows at sigma={sigma!r}, ell_over_sigma={ell_over_sigma!r}")
     points = gen_gaussian_clouds([(-ell, 0.0), (ell, 0.0)], sigma, n_per, seed)
     graph = build_graph(points, r_eps=sigma)
-    eig = eigendecompose(graph.hamiltonian)
-    s = select_s(gap_stats(eig.energies, 2), FIRST_GAP_S)
+    _, s, source = transport_source(graph.hamiltonian, 2, FIRST_GAP_S)
 
     init_node = int(np.argmin(np.linalg.norm(points.points - [-ell, 0.0], axis=1)))
-    amplitudes = laplace_amplitudes(eig, [init_node], s)[:, 0]
-    phases = phase_field(amplitudes)
-
     if partition == "truth":
         part = points.truth
     else:
-        omega, _ = run_qtc(eig.size, spectral_source(eig, s), 2, seed=seed)
+        omega, _ = run_qtc(points.m, source, 2, seed=seed)
         part, _ = majority_partition(omega, 2)
+        source = solve_source(graph.hamiltonian, s)  # the ensemble used up the first source
+    amplitudes = next(source(np.array([init_node]), 1))[:, 0]
+    phases = phase_field(amplitudes)
     orbitals = cluster_orbitals(graph.hamiltonian, part)
     tb = tight_binding(graph.hamiltonian, orbitals)
     exact = resolvent_exact(tb, s)
@@ -112,9 +111,9 @@ def outlier_sweep(
     for alpha in OUTLIER_ALPHAS:
         coords = np.vstack([clouds.points, [((2.0 * alpha - 1.0) * ell, 0.0)]])
         truth = np.concatenate([clouds.truth, [2]])
-        eig = eigendecompose(build_graph(PointSet(points=coords, truth=truth), eps).hamiltonian)
-        s = select_s(gap_stats(eig.energies, 2), FIRST_GAP_S)
-        phases = phase_field(laplace_amplitudes(eig, [init_node], s)[:, 0])
+        graph = build_graph(PointSet(points=coords, truth=truth), eps)
+        _, _, source = transport_source(graph.hamiltonian, 2, FIRST_GAP_S)
+        phases = phase_field(next(source(np.array([init_node]), 1))[:, 0])
         rows.append(
             {
                 "alpha_out": float(alpha),
@@ -158,6 +157,8 @@ def eps_sweep(
 ) -> list[dict]:
     """Accuracy of transport clustering versus spectral clustering across bandwidths.
 
+    The transport rows take their amplitudes as :func:`pipeline.qtc` does
+    (:func:`transport_source`); the spectral baseline decomposes H.
     Bandwidths at which the graph decomposes into numerically exact
     components have no spectral gap to damp against; those rows carry NaN
     for the transport score instead of aborting the sweep.
@@ -167,14 +168,14 @@ def eps_sweep(
     dist = pairwise_distances(points)
     rows = []
     for eps in np.asarray(eps_grid, dtype=float):
-        eig = eigendecompose(build_graph(points, float(eps), dist=dist).hamiltonian)
+        graph = build_graph(points, float(eps), dist=dist)
         try:
-            s = select_s(gap_stats(eig.energies, max(q, 2)), laplace)
-            omega, _ = run_qtc(eig.size, spectral_source(eig, s), q, m_prime=m_prime, seed=seed, method=label_method)
+            _, _, source = transport_source(graph.hamiltonian, q, laplace)
+            omega, _ = run_qtc(points.m, source, q, m_prime=m_prime, seed=seed, method=label_method)
             labels, _ = majority_partition(omega, q)
             ari_qtc = ari(labels, points.truth)
         except DegenerateGapError:
             ari_qtc = float("nan")
-        spectral_labels = spectral_cluster(eig, q, seed=seed)
+        spectral_labels = spectral_cluster(eigendecompose(graph.hamiltonian), q, seed=seed)
         rows.append({"eps": float(eps), "ari_qtc": ari_qtc, "ari_spectral": ari(spectral_labels, points.truth)})
     return rows

@@ -9,8 +9,8 @@ import numpy as np
 from .ensemble import PartitionTally, consensus_matrix, majority_partition, run_qtc, start_count
 from .errors import ParameterError
 from .graph import GraphBundle, PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
-from .spectral import GapReport, eigendecompose, gap_stats, low_energies
-from .transport import LaplaceParams, select_s, solve_source, spectral_source
+from .spectral import GapReport, gap_stats, low_energies
+from .transport import LaplaceParams, select_s, solve_source
 
 SUMMARIES = ("majority", "consensus", "both")
 
@@ -19,7 +19,7 @@ SUMMARIES = ("majority", "consensus", "both")
 class QTCResult:
     """What one clustering run produced, with its start nodes and bandwidth ``r_eps``.
 
-    H is freed before the ensemble runs; neither H nor the modes are kept.
+    H is freed before the ensemble runs; neither H nor the factors of sI + iH are kept.
     """
 
     labels: np.ndarray | None
@@ -50,42 +50,33 @@ def build_graph(
     return laplacians(adjacency, proximity=r_eps)
 
 
-def takes_solve_route(m: int, m_prime: int) -> bool:
-    """Whether an ensemble of ``m_prime`` start nodes on ``m`` nodes takes the solve route (6 m' <= m)."""
-    # peak bytes: eigh ~40 m^2 (H, numpy's copy of H, the modes, syevd's workspace); the solve
-    # 24 m^2 while A is built from H, then 16 m^2 + 16 m m' (A factored in place, the right-hand
-    # side solved in place).  The rule dates from an LU at 32 m^2 + 48 m m' and is kept, so every
-    # input takes the route it took then
-    return 6 * m_prime <= m
+def transport_source(hamiltonian: np.ndarray, q: int, laplace: LaplaceParams):
+    """Gap report, damping rate and amplitude source of a Hamiltonian H, with no eigenvector computed.
+
+    Returns ``(gaps, s, amplitudes)``.  e_0..e_q, q = max(q, 2), come from
+    block Lanczos (:func:`low_energies`), so ``gaps.low_count`` is at most
+    q; s comes from the gap rule (:func:`select_s`); and ``amplitudes``, an
+    amplitude source for :func:`run_qtc`, solves A psi = e_j by one in-place
+    block LDL^T of the complex symmetric A = sI + iH (:func:`solve_source`).
+    The source keeps A and not H.  A single start node j is the one-column
+    case: ``next(amplitudes(np.array([j]), 1))[:, 0]``.
+    """
+    q = max(q, 2)
+    gaps = gap_stats(low_energies(hamiltonian, min(q + 1, len(hamiltonian))), q)
+    s = select_s(gaps, laplace)
+    return gaps, s, solve_source(hamiltonian, s)
 
 
-def amplitude_source(points: PointSet, eps: float, q: int, laplace: LaplaceParams, m_prime: int):
-    """Bandwidth, gap report, damping rate and amplitude source of a point set for ``m_prime`` start nodes.
+def amplitude_source(points: PointSet, eps: float, q: int, laplace: LaplaceParams):
+    """Bandwidth, gap report, damping rate and amplitude source of a point set.
 
-    Returns ``(r_eps, gaps, s, amplitudes)``, with ``amplitudes`` an amplitude
-    source for :func:`run_qtc`.  The graph is built here (:func:`build_graph`
-    with ``eps``), so H is freed when this returns, on both routes.  Both
-    routes take the gap report and s from e_0..e_q, q = max(q, 2), so
-    ``gaps.low_count`` is at most q.  On the solve route
-    (:func:`takes_solve_route`) no eigenvector is computed: e_0..e_q come from
-    :func:`low_energies` and the amplitudes from one in-place block LDL^T of
-    the complex symmetric A = sI + iH (:func:`solve_source`), which the
-    source keeps until its one call has solved for them.  Otherwise H is
-    decomposed and the amplitudes summed over its modes, which the source
-    keeps.
+    Returns ``(r_eps, gaps, s, amplitudes)``: the graph is built here
+    (:func:`build_graph` with ``eps``) and the rest comes from
+    :func:`transport_source`, so H is freed when this returns, before the
+    amplitude source factors A.
     """
     graph = build_graph(points, eps)
-    h = graph.hamiltonian
-    q = max(q, 2)
-    solve = takes_solve_route(points.m, m_prime)
-    if solve:
-        energies = low_energies(h, min(q + 1, points.m))
-    else:
-        eig = eigendecompose(h)
-        energies = eig.energies[: q + 1]
-    gaps = gap_stats(energies, q)
-    s = select_s(gaps, laplace)
-    return graph.proximity, gaps, s, solve_source(h, s) if solve else spectral_source(eig, s)
+    return (graph.proximity, *transport_source(graph.hamiltonian, q, laplace))
 
 
 def qtc(
@@ -98,11 +89,11 @@ def qtc(
     seed: int = 0,
     summary: str = "both",
 ) -> QTCResult:
-    """Full quantum transport clustering of a point set (see :func:`amplitude_source` for its two routes)."""
+    """Full quantum transport clustering of a point set; the amplitudes come from :func:`amplitude_source`."""
     if summary not in SUMMARIES:
         raise ParameterError(f"summary must be one of {SUMMARIES}, got {summary!r}")
     m_prime = start_count(points.m, m_prime)
-    r_eps, gaps, s, amplitudes = amplitude_source(points, eps, q, laplace, m_prime)
+    r_eps, gaps, s, amplitudes = amplitude_source(points, eps, q, laplace)
     omega, init_nodes = run_qtc(points.m, amplitudes, q, m_prime=m_prime, seed=seed, method=label_method)
     labels = tally = consensus = None
     if summary in ("majority", "both"):

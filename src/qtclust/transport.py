@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, NumericError, ParameterError
-from .spectral import EigenSystem, GapReport, _symmetric_matrix
+from .spectral import GapReport, _symmetric_matrix
 
 UNDERFLOW_FLOOR = 1e-300
 _TINY = float(np.finfo(float).tiny)
@@ -49,38 +49,6 @@ def select_s(gaps: GapReport, params: LaplaceParams) -> float:
     return float(params.multiplier * gap)
 
 
-def laplace_amplitudes(eig: EigenSystem, init_nodes, s: float) -> np.ndarray:
-    """Laplace-space amplitudes for several start nodes, one column per node.
-
-    Column k solves (s I + i H) psi = e_{init_nodes[k]} through the spectral
-    sum.  The complex weights W = modes[init] / (s + i E) are laid out as
-    interleaved real and imaginary columns, so one real GEMM of ``modes``
-    against them yields the m x len(init_nodes) complex result in place,
-    without casting the real ``modes`` to complex.  As on the solve route,
-    an entry that cancels below ``UNDERFLOW_FLOOR`` keeps its rounding, and
-    :func:`phase_field` flags it.
-    """
-    init = _start_nodes(init_nodes, eig.size)
-    _check_s(s)
-    weights = eig.modes[init, :] / (s + 1j * eig.energies)
-    return (eig.modes @ np.ascontiguousarray(weights.T).view(float)).view(complex)
-
-
-def spectral_source(eig: EigenSystem, s: float):
-    """Amplitude source of the spectral sum, for ``ensemble.run_qtc``.
-
-    ``source(init_nodes, width)`` yields the amplitudes of each block of at
-    most ``width`` start nodes in turn, one :func:`laplace_amplitudes` GEMM
-    per block.
-    """
-
-    def blocks(init_nodes, width):
-        for lo in range(0, len(init_nodes), width):
-            yield laplace_amplitudes(eig, init_nodes[lo : lo + width], s)
-
-    return blocks
-
-
 def solve_source(hamiltonian: np.ndarray, s: float):
     """Amplitude source of one complex symmetric LDL^T solve, for ``ensemble.run_qtc``.
 
@@ -91,10 +59,13 @@ def solve_source(hamiltonian: np.ndarray, s: float):
     A is built here and H is not kept, so H can be freed before the solve
     (:func:`pipeline.amplitude_source` frees it on return).  The source may
     be called once: ``source(init_nodes, width)`` factors A in place
-    (:func:`_ldlt_in_place`), solves A psi = E with one unit column of E per
-    start node, drops A and returns an iterator over the blocks of at most
-    ``width`` start nodes, column slices of that one result.  A second call
-    raises ``ParameterError``, and a non-finite amplitude ``NumericError``.
+    (:func:`_ldlt_in_place`) and returns an iterator over the amplitudes of
+    the blocks of at most ``width`` start nodes.  It solves A psi = E, one
+    unit column of E per start node, in chunks of ``_LDLT_BLOCK`` start
+    nodes rounded down to a multiple of ``width`` (at least one block), so
+    the factors and one chunk are live at a time; the factors are freed
+    with the iterator.  A second call raises ``ParameterError``, and a chunk
+    with a non-finite amplitude ``NumericError``.
     """
     _check_s(s)
     h = _symmetric_matrix(hamiltonian)
@@ -107,17 +78,27 @@ def solve_source(hamiltonian: np.ndarray, s: float):
         if a is None:
             raise ParameterError("a solve source yields its amplitudes once; build a new source")
         init = _start_nodes(init_nodes, m)
-        factor, a = a, None
-        amplitudes = np.zeros((m, init.size), dtype=complex)
-        amplitudes[init, np.arange(init.size)] = 1.0
+        factors, a = a, None
         with np.errstate(over="ignore", invalid="ignore"):
-            _ldlt_in_place(factor)
-            _ldlt_solve(factor, amplitudes)
-        if not np.isfinite(amplitudes).all():
-            raise NumericError(f"the amplitudes at s={s!r} are not finite")
-        return (amplitudes[:, lo : lo + width] for lo in range(0, init.size, width))
+            _ldlt_in_place(factors)
+        return _solved_blocks(factors, init, width, s)
 
     return blocks
+
+
+def _solved_blocks(factors: np.ndarray, init: np.ndarray, width: int, s: float):
+    """Amplitudes of the start nodes ``init`` in blocks of at most ``width``, solved a chunk of blocks at a time."""
+    m = factors.shape[0]
+    chunk = max(width, _LDLT_BLOCK // width * width)
+    for lo in range(0, init.size, chunk):
+        nodes = init[lo : lo + chunk]
+        amplitudes = np.zeros((m, nodes.size), dtype=complex)
+        amplitudes[nodes, np.arange(nodes.size)] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _ldlt_solve(factors, amplitudes)
+        if not np.isfinite(amplitudes).all():
+            raise NumericError(f"the amplitudes at s={s!r} are not finite")
+        yield from (amplitudes[:, k : k + width] for k in range(0, nodes.size, width))
 
 
 def _ldlt_in_place(a: np.ndarray) -> None:
@@ -171,7 +152,7 @@ def _start_nodes(init_nodes, m: int) -> np.ndarray:
 def _check_s(s: float) -> None:
     """``ParameterError`` unless s is a finite number no smaller than the smallest normal float.
 
-    From that bound up every spectral weight modes / (s + iE) is finite; a
+    From that bound up every spectral weight 1 / (s + iE) is finite; a
     subnormal s overflows them.
     """
     if not (np.isfinite(s) and s >= _TINY):

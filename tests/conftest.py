@@ -69,10 +69,32 @@ def two_node_eig():
     return eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
+def laplace_amplitudes(eig, init_nodes, s):
+    """Laplace-space amplitudes by the spectral sum, one column per start node: the spectral oracle of ``solve_source``.
+
+    Column k is sum_n modes[:, n] modes[j, n] / (s + i E_n) with
+    j = init_nodes[k], the solution of (s I + i H) psi = e_j.  The complex
+    weights are laid out as interleaved real and imaginary columns, so one
+    real GEMM of ``modes`` against them yields the complex result.
+    """
+    weights = eig.modes[np.asarray(init_nodes), :] / (s + 1j * eig.energies)
+    return (eig.modes @ np.ascontiguousarray(weights.T).view(float)).view(complex)
+
+
+def spectral_source(eig, s):
+    """An amplitude source for ``run_qtc`` that sums each block over the modes (:func:`laplace_amplitudes`)."""
+
+    def blocks(init_nodes, width):
+        for lo in range(0, len(init_nodes), width):
+            yield laplace_amplitudes(eig, init_nodes[lo : lo + width], s)
+
+    return blocks
+
+
 def laplace_amplitudes_oracle(eig, init_nodes, s):
     """Each spectral sum sum_n modes[i, n] modes[j, n] / (s + i E_n) added exactly by ``math.fsum``.
 
-    The reference for ``transport.laplace_amplitudes``: entry (i, k) is the
+    The reference for :func:`laplace_amplitudes`: entry (i, k) is the
     amplitude at node i of the wave started at j = init_nodes[k].
     """
     weights = eig.modes[np.asarray(init_nodes), :] / (s + 1j * eig.energies)

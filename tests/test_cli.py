@@ -11,8 +11,21 @@ from qtclust.cli import main
 from qtclust.io import load_labels_csv, load_matrix_csv
 
 import qtclust
-from qtclust import InputError, gen_annuli, gen_gaussian_clouds, gen_sticks, gen_tetrahedron, load_timeseries
+from qtclust import (
+    InputError,
+    PointSet,
+    build_graph,
+    eigendecompose,
+    gen_annuli,
+    gen_gaussian_clouds,
+    gen_sticks,
+    gen_tetrahedron,
+    load_timeseries,
+    pipeline,
+)
 from qtclust.io import save_points_csv
+
+from conftest import laplace_amplitudes, spectral_source
 
 
 @pytest.fixture
@@ -96,7 +109,7 @@ def test_cluster_reruns_byte_identical(tmp_path, clouds_csv):
 
 
 def test_solve_route_reruns_byte_identical(tmp_path, clouds_csv):
-    # 120 points: 20 start nodes and the one start node of phases take the solve route (6 m' <= m)
+    # cluster with 20 of 120 start nodes, and phases with one start node
     argv = {
         "cluster": ["cluster", "--eps", "0.1", "--q", "3", "--m-prime", "20"],
         "phases": ["phases", "--eps", "0.1", "--q", "3", "--init-node", "7"],
@@ -154,6 +167,40 @@ def test_phases_csv(tmp_path, clouds_csv):
     lines = (out / "phases.csv").read_text().splitlines()
     assert lines[0] == "node_index,phase,amplitude_re,amplitude_im"
     assert len(lines) == 121
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_phases_on_a_few_points_match_the_spectral_sum(tmp_path, capsys, m):
+    # one point is no graph; two to five points get the amplitudes of the spectral sum within 1e-13
+    path = tmp_path / "points.csv"
+    if m == 1:
+        path.write_text("x0,x1\n0.1,0.2\n")
+    else:
+        save_points_csv(path, PointSet(np.random.default_rng(m).normal(size=(m, 2))))
+    out = tmp_path / "ph"
+    code = main(["phases", "--input", str(path), "--eps", "0.5", "--init-node", "0", "--out", str(out)])
+    if m == 1:
+        assert code == 2 and "m >= 2" in capsys.readouterr().err
+        return
+    assert code == 0
+    table = np.loadtxt(out / "phases.csv", delimiter=",", skiprows=1, ndmin=2)
+    s = json.loads((out / "run.json").read_text())["derived"]["s"]
+    eig = eigendecompose(build_graph(qtclust.io.load_points_csv(path), 0.5).hamiltonian)
+    summed = laplace_amplitudes(eig, [0], s)[:, 0]
+    solved = table[:, 2] + 1j * table[:, 3]
+    assert np.abs(solved - summed).max() <= 1e-13 * np.abs(summed).max()
+
+
+def test_cluster_labels_match_the_spectral_sum(tmp_path, monkeypatch, clouds_csv):
+    # 120 points at the default m' = 100: the same labels and consensus bytes as amplitudes summed over the modes
+    artifacts = {}
+    for route in ("solve", "sum"):
+        if route == "sum":
+            monkeypatch.setattr(pipeline, "solve_source", lambda h, s: spectral_source(eigendecompose(h), s))
+        out = tmp_path / route
+        assert main(["cluster", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--out", str(out)]) == 0
+        artifacts[route] = [(out / name).read_bytes() for name in ("labels.csv", "consensus.csv")]
+    assert artifacts["solve"] == artifacts["sum"]
 
 
 def test_spectral_cmd(tmp_path, clouds_csv):

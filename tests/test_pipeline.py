@@ -3,18 +3,20 @@ import weakref
 import numpy as np
 import pytest
 
-from qtclust import ensemble, pipeline, transport
+from qtclust import ensemble, experiments, pipeline, spectral, transport
 from qtclust import (
     LaplaceParams,
     ParameterError,
     ari,
     build_graph,
     eigendecompose,
+    gap_stats,
     gen_gaussian_clouds,
     gen_tetrahedron,
     pairwise_distances,
     qtc,
     quantile_proximity,
+    select_s,
     spectral_cluster,
 )
 
@@ -26,7 +28,7 @@ def three_clouds():
 
 @pytest.fixture(scope="module")
 def clustered(three_clouds):
-    """The default run on three_clouds (m' = 100 of 180 nodes: the spectral route), shared by the tests that read it."""
+    """The default run on three_clouds (m' = 100 of 180 nodes), shared by the tests that read it."""
     return qtc(three_clouds, eps=0.1, q=3, seed=0)
 
 
@@ -99,35 +101,40 @@ def test_build_graph_needs_eps_or_r_eps(three_clouds):
         build_graph(three_clouds, dist=pairwise_distances(three_clouds))
 
 
-def test_qtc_takes_the_solve_route_when_six_start_nodes_per_node_fit(monkeypatch, three_clouds):
-    routes = []
-    for name in ("eigendecompose", "low_energies"):
-        real = getattr(pipeline, name)
-        monkeypatch.setattr(pipeline, name, lambda *args, _real=real, _name=name: routes.append(_name) or _real(*args))
-    m = three_clouds.m
-    solved = qtc(three_clouds, eps=0.1, q=3, m_prime=m // 6, seed=0)
-    summed = qtc(three_clouds, eps=0.1, q=3, m_prime=m // 6 + 1, seed=0)
-    assert routes == ["low_energies", "eigendecompose"]
-    assert solved.s == pytest.approx(summed.s, rel=1e-10)
-    assert np.array_equal(solved.labels, summed.labels)
-    assert ari(solved.labels, three_clouds.truth) == 1.0
+def test_qtc_and_eps_sweep_call_no_eigendecompose_through_pipeline(monkeypatch, three_clouds):
+    calls = []
+    real = spectral.eigendecompose
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    # pipeline imports no eigendecompose; should it ever, its calls are counted too
+    for module in (spectral, pipeline, experiments):
+        monkeypatch.setattr(module, "eigendecompose", counted, raising=module is not pipeline)
+    result = qtc(three_clouds, eps=0.1, q=3, m_prime=three_clouds.m, seed=0)
+    assert calls == []
+    assert ari(result.labels, three_clouds.truth) == 1.0
+    # one decomposition per row, for the spectral baseline; the transport rows take none
+    rows = experiments.eps_sweep(three_clouds, 3, [0.1, 0.15], seed=0)
+    assert calls == [three_clouds.m, three_clouds.m]
+    assert [row["eps"] for row in rows] == [0.1, 0.15] and rows[0]["ari_qtc"] == 1.0
 
 
 def test_gap_report_does_not_depend_on_the_route():
-    # four clusters asked for as three: the whole spectrum jumps above e_3, but both routes read e_0..e_q
+    # four clusters asked for as three: the whole spectrum jumps above e_3, but the gaps read e_0..e_q only
     points = gen_tetrahedron(q=4, sigma=0.1, n_per=100, seed=0)
-    assert pipeline.takes_solve_route(points.m, 10) and not pipeline.takes_solve_route(points.m, 100)
     solved = qtc(points, eps=0.1, q=3, m_prime=10, seed=0, summary="majority")
-    summed = qtc(points, eps=0.1, q=3, m_prime=100, seed=0, summary="majority")
-    assert solved.gaps.low_count == summed.gaps.low_count
-    assert solved.gaps.first_gap == pytest.approx(summed.gaps.first_gap, rel=0, abs=1e-12)
-    assert solved.gaps.avg_gap == pytest.approx(summed.gaps.avg_gap, rel=0, abs=1e-12)
-    assert solved.s == pytest.approx(summed.s, rel=0, abs=1e-12)
-    # e_3 / e_2 divides energies near 1e-6 that the two routes give to ~1e-15 absolute (3e-10 apart here)
-    assert solved.gaps.next_ratio == pytest.approx(summed.gaps.next_ratio, rel=1e-8, abs=0)
+    summed = gap_stats(eigendecompose(build_graph(points, 0.1).hamiltonian).energies[:4], 3)
+    assert solved.gaps.low_count == summed.low_count
+    assert solved.gaps.first_gap == pytest.approx(summed.first_gap, rel=0, abs=1e-12)
+    assert solved.gaps.avg_gap == pytest.approx(summed.avg_gap, rel=0, abs=1e-12)
+    assert solved.s == pytest.approx(select_s(summed, LaplaceParams()), rel=0, abs=1e-12)
+    # e_3 / e_2 divides energies near 1e-6 that Lanczos and eigh give to ~1e-15 absolute (3e-10 apart here)
+    assert solved.gaps.next_ratio == pytest.approx(summed.next_ratio, rel=1e-8, abs=0)
 
 
-@pytest.mark.parametrize("m_prime", [30, 180], ids=["solve", "spectral"])
+@pytest.mark.parametrize("m_prime", [30, 180], ids=["solve", "solve_every_node"])
 def test_h_is_freed_before_the_ensemble_runs(monkeypatch, hamiltonian_refs, three_clouds, m_prime):
     h_alive_at_run = []
     real_run = pipeline.run_qtc
