@@ -23,13 +23,16 @@ _TETRA_VERTICES = (
     / math.sqrt(8.0)
 )
 
+# desk scale: the most float64 coordinates a generator makes, 10^7 points in the plane
+_MAX_COORDINATES = 2 * 10**7
+
 
 def _per_component_counts(count, n_components: int, name: str, dim: int) -> np.ndarray:
     """One count per component: ``count`` for each, or one entry of ``count`` each.
 
     ``ParameterError`` naming ``name`` for a count outside int64, or for
-    counts whose points, ``dim`` float64 coordinates each, would exceed
-    numpy's array size limit.
+    counts whose points, ``dim`` coordinates each, would exceed
+    ``_MAX_COORDINATES``, before any point is drawn.
     """
     try:
         if np.isscalar(count):
@@ -43,9 +46,8 @@ def _per_component_counts(count, n_components: int, name: str, dim: int) -> np.n
     if (counts < 1).any():
         raise ParameterError("every component needs at least one point")
     total = sum(counts.tolist())
-    if total * dim * 8 > np.iinfo(np.intp).max:
-        limit = np.iinfo(np.intp).max // (dim * 8)
-        raise ParameterError(f"{name} must give at most {limit} points in all, got {total}")
+    if total * dim > _MAX_COORDINATES:
+        raise ParameterError(f"{name} must give at most {_MAX_COORDINATES // dim} points in all, got {total}")
     return counts
 
 
@@ -90,9 +92,9 @@ def gen_sticks(
     concentrates them quadratically toward one end (alternating ends from
     stick to stick), producing strong density variation along each cluster.
     """
-    # one int64 count per stick
-    if not 2 <= n_sticks <= np.iinfo(np.intp).max // 8:
-        raise ParameterError(f"n_sticks must be at least 2 and at most {np.iinfo(np.intp).max // 8}, got {n_sticks!r}")
+    # every stick gets a point
+    if not 2 <= n_sticks <= _MAX_COORDINATES // 2:
+        raise ParameterError(f"n_sticks must be at least 2 and at most {_MAX_COORDINATES // 2}, got {n_sticks!r}")
     if density_profile not in ("uniform", "nonuniform"):
         raise ParameterError(f"unknown density profile {density_profile!r}")
     for name, value in (("length", length), ("gap", gap), ("jitter", jitter)):

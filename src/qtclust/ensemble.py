@@ -65,7 +65,7 @@ def canonical_relabel(labels: np.ndarray) -> np.ndarray:
 
 
 def _block_width(m: int) -> int:
-    """Columns per block so that ~128 bytes per entry (gap cuts take ~80) fit in ``_BLOCK_BYTES``."""
+    """Columns per block so that ~128 bytes per entry (gap cuts peak at ~58) fit in ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (128 * max(m, 1)))
 
 
@@ -179,21 +179,25 @@ def consensus_matrix(omega: np.ndarray, q: int) -> np.ndarray:
     """Fraction of initializations assigning each node pair the same label.
 
     With Y the one-hot encoding of the columns, q entries per column, the
-    pair counts are Y Y^T.  Whole columns go into blocks of Y and the
+    pair counts are Y Y^T.  Whole columns go into float32 blocks of Y and the
     product into row tiles, each bounded by ``_BLOCK_BYTES``.  A pair's
     count does not depend on how a column names its labels, so no column is
-    relabeled.  The counts are exact integers, so the result equals the
-    per-pair count divided by m' bit for bit.
+    relabeled.  An entry of a tile product sums at most one 1 per column of
+    the block, and a block holds at most ``_BLOCK_BYTES // 4`` = 2^20 < 2^24
+    columns, so every partial sum is an integer that float32 holds exactly,
+    in any summation order; adding the tiles into the float64 counts is
+    exact too.  So the result equals the per-pair count divided by m' bit
+    for bit.
     """
     cols = _label_matrix(omega, q)
     m, m_prime = cols.shape
-    step = max(1, _BLOCK_BYTES // (8 * m))  # entries per row of a Y block, rows per product tile
+    step = max(1, _BLOCK_BYTES // (4 * m))  # entries per row of a Y block, rows per product tile
     width = max(1, step // q)  # columns per Y block
     rows = np.arange(m)[:, None]
     counts = np.zeros((m, m))
     for lo in range(0, m_prime, width):
         block = cols[:, lo : lo + width]
-        y = np.zeros((m, q * block.shape[1]))
+        y = np.zeros((m, q * block.shape[1]), dtype=np.float32)
         y[rows, block + q * np.arange(block.shape[1])] = 1.0
         for r in range(0, m, step):
             counts[r : r + step] += y[r : r + step] @ y.T

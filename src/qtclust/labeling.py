@@ -22,12 +22,14 @@ class FragmentationWarning(UserWarning):
 
 
 def _fields(phases, q: int) -> np.ndarray:
-    """``phases`` as rows: one field (1-D) or a block with one field per row (2-D)."""
+    """``phases`` as rows: one finite field (1-D) or a block with one field per row (2-D)."""
     theta = np.asarray(phases, dtype=float)
     if theta.ndim not in (1, 2):
         raise ParameterError("phases must be one field or a block with one field per row")
     if not 1 <= q <= theta.shape[-1]:
         raise ParameterError(f"q must be between 1 and {theta.shape[-1]}, got {q}")
+    if not np.isfinite(theta).all():
+        raise ParameterError("phases must be finite")
     return np.atleast_2d(theta)
 
 
@@ -42,25 +44,44 @@ def labels_direct_difference(phases: np.ndarray, q: int) -> np.ndarray:
     instead of arc length because it damps small fluctuations relative to
     genuine jumps.  One ``FragmentationWarning`` per call names the number
     of rows cut on tied phases.
+
+    No index sort is taken: the values are sorted, the cuts picked by a
+    partial selection, and each phase compared with the value below each
+    cut.  Equal phases that a cut splits are split by index order, the
+    order a stable argsort would give them.
     """
     block = _fields(phases, q)
     if q == 1:
         return np.zeros(np.shape(phases), dtype=int)
-    order = np.argsort(block, axis=1, kind="stable")
-    srt = np.take_along_axis(block, order, axis=1)
+    srt = np.sort(block, axis=1)
     dx, dy = np.diff(np.cos(srt), axis=1), np.diff(np.sin(srt), axis=1)
     gaps = np.sqrt(dx * dx + dy * dy)
-    # a stable sort of -gaps keeps equal gaps in sorted-index order
-    pick = np.argsort(-gaps, axis=1, kind="stable")[:, : q - 1]
-    n_tied = int((np.take_along_axis(gaps, pick, axis=1).min(axis=1) == 0.0).sum())
+    # the q-1 largest gaps: all above the (q-1)-th largest t, then the first gaps equal to t
+    kth = gaps.shape[1] - (q - 1)
+    t = np.partition(gaps, kth, axis=1)[:, kth, None]
+    above = gaps > t
+    at_t = gaps == t
+    pick = above | (at_t & (at_t.cumsum(axis=1) <= (q - 1) - above.sum(axis=1, keepdims=True)))
+    n_tied = int((t == 0.0).sum())
     if n_tied:
         message = f"{n_tied} phase field(s) cut on tied phases; labels split by index order"
         warnings.warn(message, FragmentationWarning, stacklevel=2)
-    # a cut after sorted position i raises the label of every later position by one
-    marks = np.zeros(block.shape, dtype=int)
-    np.put_along_axis(marks, pick + 1, 1, axis=1)
-    labels = np.empty_like(marks)
-    np.put_along_axis(labels, order, marks.cumsum(axis=1), axis=1)
+    # each row's q-1 cut positions in ascending order: the cut after sorted position
+    # pos, of value v = srt[pos], raises the label of every phase above v by one
+    pos = np.nonzero(pick)[1].reshape(-1, q - 1)
+    cut_at = np.take_along_axis(srt, pos, axis=1)
+    tied = np.take_along_axis(srt, pos + 1, axis=1) == cut_at
+    labels = np.zeros(block.shape, dtype=int)
+    for c in range(q - 1):
+        v = cut_at[:, c, None]
+        labels += block > v
+        # a tied cut also raises the phases equal to v beyond the first pos + 1 - #(srt < v),
+        # in index order, as a stable sort would place them
+        rows = np.flatnonzero(tied[:, c])
+        if rows.size:
+            equal = block[rows] == v[rows]
+            below = pos[rows, c, None] + 1 - (srt[rows] < v[rows]).sum(axis=1, keepdims=True)
+            labels[rows] += equal & (equal.cumsum(axis=1) > below)
     return labels.reshape(np.shape(phases))
 
 

@@ -161,13 +161,12 @@ def fingerprint_equivalent(a, b):
 
 
 def consensus_oracle(omega_arr):
-    """Per-pair share of columns giving two nodes the same label: the reference for ``ensemble.consensus_matrix``."""
-    m, m_prime = omega_arr.shape
-    oracle = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            oracle[i, j] = sum(omega_arr[i, k] == omega_arr[j, k] for k in range(m_prime)) / m_prime
-    return oracle
+    """Per-pair share of columns giving two nodes the same label: the reference for ``ensemble.consensus_matrix``.
+
+    Compares every pair of rows label by label, with no one-hot product.
+    """
+    omega_arr = np.asarray(omega_arr)
+    return (omega_arr[:, None, :] == omega_arr[None, :, :]).sum(axis=-1) / omega_arr.shape[1]
 
 
 def pairwise_grouping(omega_arr):

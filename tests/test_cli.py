@@ -610,6 +610,26 @@ def test_counts_beyond_the_array_size_limit_exit_2_naming_them(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+_BEYOND_DESK = "100000000000"  # 1e11: inside numpy's array size limit, but terabytes of points
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gen", "--kind", "sticks-uniform", "--n-per", _BEYOND_DESK], "n_per"),
+        (["gen", "--kind", "sticks-uniform", "--n-sticks", _BEYOND_DESK], "n_sticks"),
+        (["gen", "--kind", "gaussian-clouds", "--centers", "0,0;1,0", "--n-per", _BEYOND_DESK], "n_per"),
+        (["gen", "--kind", "annuli", "--radii", "0.4,0.8", "--counts", f"3,{_BEYOND_DESK}"], "counts"),
+    ],
+)
+def test_counts_beyond_desk_scale_exit_2_before_any_allocation(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{named} must" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+
 @pytest.fixture
 def spread_clouds_csv(tmp_path):
     path = tmp_path / "spread.csv"

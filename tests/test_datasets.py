@@ -15,6 +15,7 @@ from qtclust import (
     qtc,
     radius_proportional_counts,
 )
+from qtclust import datasets
 from qtclust.io import load_points_csv, save_points_csv
 
 
@@ -254,3 +255,13 @@ def test_points_csv_roundtrip_bit_exact(tmp_path):
 def test_radius_proportional_counts_rejects_radii_without_finite_counts(radii):
     with pytest.raises(ParameterError, match="radii"):
         radius_proportional_counts(radii, 40)
+
+
+def test_point_counts_are_capped_at_desk_scale():
+    # 2 * 10**7 coordinates: 10**7 points in the plane, fewer in space
+    cap = datasets._MAX_COORDINATES
+    assert datasets._per_component_counts([cap // 4, cap // 4], 2, "n_per", 2).tolist() == [cap // 4, cap // 4]
+    with pytest.raises(ParameterError, match=f"n_per must give at most {cap // 2} points in all, got {cap // 2 + 1}"):
+        datasets._per_component_counts([cap // 4, cap // 4 + 1], 2, "n_per", 2)
+    with pytest.raises(ParameterError, match=f"at most {cap // 3} points"):
+        datasets._per_component_counts(cap // 3, 2, "n_per", 3)

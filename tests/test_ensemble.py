@@ -110,6 +110,15 @@ def test_consensus_matches_triple_loop_exactly():
     assert np.array_equal(consensus_matrix(omega_arr, 3), consensus_oracle(omega_arr))
 
 
+def test_consensus_exact_over_thousands_of_columns_in_one_block():
+    # 4 nodes and q = 2: all 5000 columns share one float32 Y block, so each product entry sums up to 5000 ones
+    rng = np.random.default_rng(4)
+    omega_arr = rng.integers(0, 2, size=(4, 5000))
+    omega_arr[1] = omega_arr[0]
+    assert ensemble._BLOCK_BYTES // (4 * 4) // 2 >= 5000
+    assert consensus_matrix(omega_arr, 2).tobytes() == consensus_oracle(omega_arr).tobytes()
+
+
 def test_consensus_invariant_under_column_permutations():
     rng = np.random.default_rng(3)
     omega_arr = rng.integers(0, 3, size=(15, 10))
@@ -214,15 +223,17 @@ def test_ensemble_blocks_do_not_change_results(monkeypatch, columns_per_block):
     omega_arr[:, 7] = np.arange(20)  # every node its own label, so q = 20
     ref_labels, ref_tally = majority_partition(omega_arr, 20)
     ref_consensus = consensus_matrix(omega_arr, 20)
-    # 128 bytes per entry and 20 rows: the vote relabels columns_per_block columns at a time, and
-    # a one-hot block holds 16 * columns_per_block entries per row, under one column of width q = 20
+    # 128 bytes per entry and 20 rows: the vote relabels columns_per_block columns at a time
     monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * 20 * columns_per_block)
     labels, tally = majority_partition(omega_arr, 20)
     assert np.array_equal(labels, ref_labels)
     assert tally == ref_tally
     assert tally.classes == pairwise_grouping(omega_arr)
-    assert np.array_equal(consensus_matrix(omega_arr, 20), ref_consensus)
-    assert np.array_equal(ref_consensus, consensus_oracle(omega_arr))
+    # 4-byte one-hot entries and 20 rows: a block holds 16 * columns_per_block entries per row, so one
+    # column of width q = 20 with its product split into row tiles of 16, or two columns
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 64 * 20 * columns_per_block)
+    assert consensus_matrix(omega_arr, 20).tobytes() == ref_consensus.tobytes()
+    assert ref_consensus.tobytes() == consensus_oracle(omega_arr).tobytes()
 
 
 @pytest.mark.parametrize("method", ["circle", "diff"])

@@ -80,8 +80,8 @@ def test_consensus_matches_per_pair_oracle(data):
         # one column gives every node its own label
         q = max(q, m)
         omega_arr[:, data.draw(st.integers(0, m_prime - 1))] = data.draw(st.permutations(range(m)))
-    # Y blocks of one or several columns; a budget under 8 m^2 bytes splits the product into row tiles
-    budget = data.draw(st.sampled_from([8 * m * q, 8 * m * q * 3, 8 * m * (m - 1) + 8, ensemble._BLOCK_BYTES]))
+    # float32 Y blocks of one or several columns; a budget under 4 m^2 bytes splits the product into row tiles
+    budget = data.draw(st.sampled_from([4 * m * q, 4 * m * q * 3, 4 * m * (m - 1) + 4, ensemble._BLOCK_BYTES]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensemble, "_BLOCK_BYTES", budget)
         got = consensus_matrix(omega_arr, q)

@@ -12,7 +12,7 @@ from qtclust import (
 from qtclust import labeling
 from qtclust.labeling import _lloyd
 
-from conftest import kmeans_oracle
+from conftest import direct_difference_oracle, kmeans_oracle
 
 
 def test_direct_difference_hand_case():
@@ -33,6 +33,27 @@ def test_direct_difference_all_equal_warns():
     assert labels[0] == 0
     assert np.array_equal(labels[1:], [1, 1, 1, 1])
     assert set(labels) == {0, 1}
+
+
+def test_direct_difference_mirrored_field_cuts_the_first_of_two_equal_gaps():
+    # theta and -theta: the gaps from -2 to -1.1 and from 1.1 to 2 are equal bit for bit and the largest
+    half = np.array([0.3, 1.1, 2.0])
+    phases = np.concatenate([half, -half])
+    srt = np.sort(phases)
+    gaps = np.hypot(np.diff(np.cos(srt)), np.diff(np.sin(srt)))
+    assert gaps[0] == gaps[-1] == gaps.max() > 0.0
+    labels = labels_direct_difference(phases, 2)
+    assert np.array_equal(labels, direct_difference_oracle(phases, 2)[0])
+    assert np.array_equal(labels, [1, 1, 1, 1, 1, 0])
+
+
+def test_labelers_reject_non_finite_phases():
+    for bad in (np.nan, np.inf, -np.inf):
+        phases = np.array([[0.1, bad, -1.0], [0.2, 0.3, 0.4]])
+        with pytest.raises(ParameterError, match="phases must be finite"):
+            labels_direct_difference(phases, 2)
+        with pytest.raises(ParameterError, match="phases must be finite"):
+            labels_circle_clustering(phases, 2, [0, 1])
 
 
 def test_direct_difference_contiguous_arcs():
