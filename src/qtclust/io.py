@@ -10,6 +10,7 @@ and at 2 threads compute matrices that differ in the last bits.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,9 +19,10 @@ from .errors import InputError, ParameterError
 from .graph import PointSet
 
 _FMT = "%.17g"
-# entries per block of rows in save_matrix_csv.  The block sets the writer's scratch, about
-# 0.25 KiB per distinct value, which the allocator keeps resident after the write; at m=600 the
-# JSD kernel's memory peak rose 2 MiB with 8192-entry blocks and 0.3 MiB with 2048.
+# entries per block of rows in save_matrix_csv, and per tile (about 45 x 45) of its mirror route.  The
+# block sets the writer's scratch, about 0.25 KiB per distinct value, which the allocator keeps resident
+# after the write; at m=600 the JSD kernel's memory peak rose 2 MiB with 8192-entry blocks and 0.3 MiB
+# with 2048.
 _WRITE_BLOCK = 1 << 11
 _INT64 = np.iinfo(np.int64)
 
@@ -123,16 +125,21 @@ def _int64_cell(cell: str, path, line: int) -> int:
 def save_matrix_csv(path, matrix: np.ndarray, levels: int | None = None) -> None:
     """Plain numeric grid, row-major, no header.
 
-    Each row is ``",".join(_FMT % v for v in row)`` plus a newline.  The rows
-    go out in blocks of about ``_WRITE_BLOCK`` entries, and the rows of a
-    block are built by lookup in a table of formatted values.  By default
-    each block's distinct values are found by ``np.unique`` and formatted
-    once.  A caller that knows every entry is k / ``levels`` for an integer
-    k in [0, levels], as a consensus matrix of ``levels`` start nodes is,
-    passes ``levels``: the levels + 1 values are formatted once for the whole
-    file and each entry's k is recovered by rounding, with no sort.  An entry
-    that is not k / levels bit for bit, NaN included, raises ``ParameterError``
-    once the rows of the blocks before it are written.
+    Each row is ``",".join(_FMT % v for v in row)`` plus a newline, and every
+    value is formatted by lookup in a table of formatted values.  By default
+    each table holds the distinct values of a block of about ``_WRITE_BLOCK``
+    entries, found by ``np.unique`` and formatted once.  A square matrix that
+    equals its transpose bit for bit (compared in blocks of rows, with no
+    m x m temporary) is formatted only from the diagonal rightwards: the text
+    of an entry left of the diagonal is the text of its mirror entry, which
+    waits until its row is written (see ``_write_mirrored``).  Other matrices
+    go out in blocks of whole rows.  A caller that knows every entry is
+    k / ``levels`` for an integer k in [0, levels], as a consensus matrix of
+    ``levels`` start nodes is, passes ``levels``: the levels + 1 values are
+    formatted once for the whole file, each entry's k is recovered by
+    rounding, with no sort, and the rows go out in blocks.  An entry that is
+    not k / levels bit for bit, NaN included, raises ``ParameterError`` once
+    the rows of the blocks before it are written.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     if arr.ndim != 2:
@@ -147,19 +154,82 @@ def save_matrix_csv(path, matrix: np.ndarray, levels: int | None = None) -> None
         if n == 0:  # rows without cells are bare newlines
             fh.write("\n" * arr.shape[0])
             return
+        if levels is None and _bitwise_symmetric(arr):
+            _write_mirrored(fh, arr)
+            return
         step = max(1, _WRITE_BLOCK // n)
         for lo in range(0, arr.shape[0], step):
             block = np.ascontiguousarray(arr[lo : lo + step])
             if levels is None:
-                # distinct values by bits: -0.0 stays apart from 0.0, and every NaN and inf is kept
-                keys, index = np.unique(block.view(np.int64), return_inverse=True)
-                table = _cell_table(keys.view(np.float64))
+                table, index = _distinct_cells(block)
             else:
                 index = _grid_index(block, grid, levels)
             cells = table[index.reshape(-1)].tolist()
             # the last cell of each row trades its comma for the newline
             cells[n - 1 :: n] = [cell[:-1] + "\n" for cell in cells[n - 1 :: n]]
             fh.write("".join(cells))
+
+
+def _bitwise_symmetric(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is square and equal to its transpose bit for bit, compared in blocks of rows."""
+    m = arr.shape[0]
+    if arr.shape[1] != m:
+        return False
+    bits = arr.view(np.int64)
+    step = max(1, _WRITE_BLOCK // m)
+    return all(np.array_equal(bits[lo : lo + step], bits[:, lo : lo + step].T) for lo in range(0, m, step))
+
+
+def _write_mirrored(fh, arr: np.ndarray) -> None:
+    """Write the bitwise symmetric ``arr``, formatting only the tiles on and right of the diagonal.
+
+    The m x m grid is cut into n x n tiles with sides m // n or m // n + 1,
+    n = ceil(m / sqrt(_WRITE_BLOCK)).  Band b (the rows of tiles (b, c))
+    formats its tiles from the diagonal rightwards, and their text goes out
+    row by row with the band's rows.  The text of a tile (b, c) right of the
+    diagonal is also kept column by column: its column j is the text that
+    row j repeats left of the diagonal, so it waits, as bytes, until band c
+    is written.  The waiting text peaks at the middle band at about m^2 / 4
+    cells.  The rows go to the file's binary buffer piece by piece, without
+    a copy.
+    """
+    m = arr.shape[0]
+    n = -(-m // max(1, math.isqrt(_WRITE_BLOCK)))
+    edges = [m * k // n for k in range(n + 1)]
+    out = fh.buffer
+    # waiting[c]: the column-by-column text of each tile (b, c) written so far
+    waiting = [[] for _ in range(n)]
+    for b in range(n):
+        rows = slice(edges[b], edges[b + 1])
+        pieces = waiting[b]
+        waiting[b] = None
+        for c in range(b, n):
+            table, index = _distinct_cells(arr[rows, edges[c] : edges[c + 1]])
+            lengths = np.fromiter(map(len, table), dtype=np.intp, count=table.size)
+            pieces.append(_tile_text(table, lengths, index))
+            if c > b:
+                waiting[c].append(_tile_text(table, lengths, index.T))
+        (*pieces, (last, last_ends)) = pieces
+        for i in range(rows.stop - rows.start):
+            for text, ends in pieces:
+                out.write(text[ends[i] : ends[i + 1]])
+            # the row's last cell trades its comma for the newline
+            out.write(last[last_ends[i] : last_ends[i + 1] - 1])
+            out.write(b"\n")
+
+
+def _tile_text(table: np.ndarray, lengths: np.ndarray, index: np.ndarray) -> tuple:
+    """The cells ``table[index]`` row after row as ASCII bytes, and the offsets where each row's text starts and ends."""
+    cells = index.reshape(-1)
+    ends = np.cumsum(lengths[cells])[index.shape[1] - 1 :: index.shape[1]]
+    return memoryview("".join(table[cells].tolist()).encode()), [0, *ends.tolist()]
+
+
+def _distinct_cells(block: np.ndarray) -> tuple:
+    """``_cell_table`` of the distinct values of ``block``, and each entry's index into it, in the shape of ``block``."""
+    # distinct values by bits: -0.0 stays apart from 0.0, and every NaN and inf is kept
+    keys, index = np.unique(block.view(np.int64), return_inverse=True)
+    return _cell_table(keys.view(np.float64)), index.reshape(block.shape)
 
 
 def _cell_table(values: np.ndarray) -> np.ndarray:

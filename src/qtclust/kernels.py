@@ -136,17 +136,20 @@ def transition_kernel(eig: EigenSystem) -> np.ndarray:
     """
     groups = _degenerate_groups(eig.energies, DEGENERACY_TOL)
     m = eig.size
-    out = np.zeros((m, m))
     singles = [g[0] for g in groups if g.size == 1]
     if singles:
-        w = eig.modes[:, singles] ** 2
-        out += w @ w.T
+        w = np.square(eig.modes[:, singles])
+        # a sum of products of squares is never -0.0, so this is 0.0 + w @ w.T bit for bit
+        out = w @ w.T
+        del w
+    else:
+        out = np.zeros((m, m))
     for g in groups:
         if g.size > 1:
             chi = eig.modes[:, g] @ eig.modes[:, g].T
-            out += chi * chi
-    out = (out + out.T) / 2.0
-    return out
+            out += np.square(chi, out=chi)
+            del chi  # so that the next group's chi is not computed while this one is alive
+    return _symmetrize(out)
 
 
 def laplace_similarity(eig: EigenSystem, s: float) -> np.ndarray:
@@ -163,14 +166,35 @@ def laplace_similarity(eig: EigenSystem, s: float) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore"):
         weights = 1.0 / (s * s + eig.energies**2)
         _check_normal(weights, s)
-        inner = (eig.modes * weights) @ eig.modes.T
-        inner = (inner + inner.T) / 2.0
+        inner = _symmetrize((eig.modes * weights) @ eig.modes.T)
         diag = np.diag(inner)
-        norm = np.sqrt(np.outer(diag, diag))
+        norm = np.outer(diag, diag)
+        np.sqrt(norm, out=norm)
         _check_normal(norm, s)
-    out = np.abs(inner) / norm
+    out = np.abs(inner, out=inner)
+    out /= norm
     np.fill_diagonal(out, 1.0)
-    return np.minimum(out, 1.0)
+    return np.minimum(out, 1.0, out=out)
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """``a`` overwritten by (a + a.T) / 2, tile by tile, with no m x m temporary; returns ``a``.
+
+    Entries (i, j) and (j, i) both get (a[i, j] + a[j, i]) / 2, the value
+    ``(a + a.T) / 2`` gives them (NaN payloads aside), so ``a`` comes out
+    equal to its transpose bit for bit.
+    """
+    m = a.shape[0]
+    side = math.isqrt(_TILE_ENTRIES)
+    for r0 in range(0, m, side):
+        rows = slice(r0, r0 + side)
+        for c0 in range(r0, m, side):
+            cols = slice(c0, c0 + side)
+            tile = a[rows, cols] + a[cols, rows].T
+            tile /= 2.0
+            a[rows, cols] = tile
+            a[cols, rows] = tile.T
+    return a
 
 
 def _check_normal(values: np.ndarray, s: float) -> None:

@@ -8,24 +8,30 @@ import numpy as np
 import pytest
 
 from qtclust.cli import main
-from qtclust.io import load_labels_csv, load_matrix_csv
+from qtclust.io import load_labels_csv, load_matrix_csv, load_points_csv
 
 import qtclust
 from qtclust import (
     InputError,
+    LaplaceParams,
     PointSet,
     build_graph,
     eigendecompose,
+    gap_stats,
     gen_annuli,
     gen_gaussian_clouds,
     gen_sticks,
     gen_tetrahedron,
+    jsd_matrix,
+    laplace_similarity,
     load_timeseries,
     pipeline,
+    select_s,
+    transition_kernel,
 )
 from qtclust.io import save_points_csv
 
-from conftest import laplace_amplitudes, spectral_source
+from conftest import laplace_amplitudes, matrix_csv_oracle, spectral_source
 
 
 @pytest.fixture
@@ -217,6 +223,21 @@ def test_kernel_cmd(tmp_path, clouds_csv):
     p = load_matrix_csv(out / "kernel_P.csv")
     assert p.shape == (120, 120)
     assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["P", "S", "jsd"])
+def test_kernel_csv_matches_per_entry_oracle_of_the_library_matrix(tmp_path, clouds_csv, kind):
+    # 120 nodes: the writer's mirror route, in 3 x 3 tiles of 40 x 40 entries
+    out = tmp_path / "k"
+    assert main(["kernel", "--input", str(clouds_csv), "--eps", "0.1", "--kind", kind, "--out", str(out)]) == 0
+    eig = eigendecompose(build_graph(load_points_csv(clouds_csv), 0.1).hamiltonian)
+    if kind == "P":
+        matrix = transition_kernel(eig)
+    elif kind == "S":
+        matrix = laplace_similarity(eig, select_s(gap_stats(eig.energies, 2), LaplaceParams()))
+    else:
+        matrix = jsd_matrix(eig)
+    assert (out / f"kernel_{kind}.csv").read_bytes() == matrix_csv_oracle(matrix)
 
 
 def test_kernel_s_zero_exits_2(tmp_path, clouds_csv, capsys):

@@ -71,11 +71,12 @@ def test_consensus_matches_per_pair_oracle(data):
     q = data.draw(st.integers(1, 6))
     m = data.draw(st.integers(1, 10))
     m_prime = data.draw(st.integers(1, 8))
-    # each column draws from its own subset of [0, q), so unused labels are common
-    column = st.lists(st.integers(0, q - 1), min_size=1, unique=True).flatmap(
-        lambda used: st.lists(st.sampled_from(used), min_size=m, max_size=m)
-    )
-    omega_arr = np.array(data.draw(st.lists(column, min_size=m_prime, max_size=m_prime)), dtype=int).T
+    # each column draws from its own nonempty subset of [0, q), so unused labels are common; one byte per
+    # column picks the subset (a bit mask) and one per entry its label in it, two cheap draws in all
+    masks = data.draw(st.binary(min_size=m_prime, max_size=m_prime))
+    picks = np.frombuffer(data.draw(st.binary(min_size=m * m_prime, max_size=m * m_prime)), dtype=np.uint8)
+    subsets = [np.flatnonzero((byte % (2**q - 1) + 1) >> np.arange(q) & 1) for byte in masks]
+    omega_arr = np.stack([used[col % used.size] for used, col in zip(subsets, picks.reshape(m, m_prime).T)], axis=1)
     if data.draw(st.booleans()):
         # one column gives every node its own label
         q = max(q, m)

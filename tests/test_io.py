@@ -15,6 +15,11 @@ def _special_matrix(rows, cols, seed=0):
     return pool[rng.integers(0, pool.size, size=(rows, cols))]
 
 
+def _mirrored(matrix):
+    """The square ``matrix`` with its upper triangle copied bit for bit into its lower one."""
+    return np.where(np.triu(np.ones(matrix.shape, dtype=bool)), matrix, matrix.T)
+
+
 @pytest.mark.parametrize("shape", [(9, 13), (1, 40), (40, 1), (1, 1), (3, 0)])
 def test_save_matrix_matches_per_entry_oracle(tmp_path, shape):
     matrix = _special_matrix(*shape)
@@ -59,11 +64,14 @@ def test_block_bound_does_not_change_bytes(tmp_path, monkeypatch, bound):
         "column": _special_matrix(40, 1, seed=2),
         "wide": _special_matrix(3, 50, seed=3),  # a row longer than the bound is written whole
         "fortran": np.asfortranarray(_special_matrix(17, 6, seed=4)),
+        # bitwise symmetric: the mirror route, in 2 x 2 tiles of 25 x 25 by default and in smaller ones at the bound
+        "symmetric_fortran": np.asfortranarray(_mirrored(_special_matrix(50, 50, seed=5))),
     }
     default = {}
     for name, m in matrices.items():
         save_matrix_csv(tmp_path / f"{name}.csv", m)
         default[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert default[name] == matrix_csv_oracle(m)
     monkeypatch.setattr(qio, "_WRITE_BLOCK", bound)
     for name, m in matrices.items():
         save_matrix_csv(tmp_path / f"{name}_{bound}.csv", m)

@@ -1,4 +1,4 @@
-"""Property test of the block-table matrix writer against the per-entry format."""
+"""Property tests of the block-table matrix writer and its mirror route against the per-entry format."""
 
 from unittest import mock
 
@@ -48,3 +48,40 @@ def test_save_matrix_matches_per_entry_oracle_property(tmp_path, data):
         )
         with pytest.raises(ParameterError):
             save_matrix_csv(path, grid, levels=levels)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mirror_route_matches_per_entry_oracle_property(tmp_path, data):
+    m = data.draw(st.integers(1, 12))
+    values = st.sampled_from(FLOAT_SPECIALS) | st.floats()
+    if data.draw(st.booleans()):
+        values = st.sampled_from(data.draw(st.lists(values, min_size=1, max_size=8)))
+    # the upper triangle drawn and copied to the lower one, every bit kept, NaN payloads included
+    upper = np.triu_indices(m)
+    matrix = np.empty((m, m))
+    matrix[upper] = matrix.T[upper] = data.draw(arrays(np.float64, upper[0].size, elements=values))
+    symmetric = True
+    if m > 1 and data.draw(st.booleans()):
+        # one entry differs from its mirror in its bits only (or in its NaN payload): the general route
+        i, j = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)))
+        matrix[i, j], matrix[j, i] = data.draw(
+            st.sampled_from(
+                [
+                    (0.0, -0.0),
+                    (np.nan, float(np.copysign(np.nan, -1.0))),
+                    (FLOAT_SPECIALS[6], np.nan),
+                    (matrix[i, j], np.nextafter(matrix[i, j], 0.0)),
+                ]
+            )
+        )
+        symmetric = matrix[i, j].tobytes() == matrix[j, i].tobytes()
+    bound = data.draw(st.sampled_from([1, 2, 5, qio._WRITE_BLOCK]))
+    path = tmp_path / "m.csv"
+    with mock.patch.object(qio, "_WRITE_BLOCK", bound), mock.patch.object(
+        qio, "_write_mirrored", wraps=qio._write_mirrored
+    ) as mirrored:
+        save_matrix_csv(path, matrix)
+    assert mirrored.called == symmetric
+    assert path.read_bytes() == matrix_csv_oracle(matrix)

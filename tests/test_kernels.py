@@ -220,6 +220,17 @@ def test_transition_kernel_matches_time_average():
     assert np.abs(p - acc / ts.size).max() < 1e-2
 
 
+@pytest.mark.parametrize("budget", [1, 7, kernels._TILE_ENTRIES])
+def test_symmetrize_in_place_matches_the_whole_matrix_formula(monkeypatch, budget):
+    rng = np.random.default_rng(budget)
+    a = rng.normal(size=(13, 13)) * 10.0 ** rng.integers(-300, 300, size=(13, 13))
+    special = rng.random(a.shape) < 0.2
+    a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, 5e-324], size=int(special.sum()))
+    monkeypatch.setattr(kernels, "_TILE_ENTRIES", budget)
+    expected = (a + a.T) / 2.0
+    assert kernels._symmetrize(a).tobytes() == expected.tobytes()
+
+
 def test_laplace_similarity_two_node_hand_value(two_node_eig):
     s_matrix = laplace_similarity(two_node_eig, 1.0)
     assert s_matrix[0, 0] == 1.0

@@ -1,4 +1,4 @@
-"""Property tests of the tiled JSD kernel against the group-by-group oracle."""
+"""Property tests of the tiled JSD kernel against the group-by-group oracle, and of the kernels' symmetry."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtclust import EigenSystem, eigendecompose, jsd_matrix
+from qtclust import EigenSystem, eigendecompose, jsd_matrix, laplace_similarity, transition_kernel
 from qtclust import kernels
 from qtclust.kernels import DEGENERACY_TOL
 
@@ -80,6 +80,18 @@ def test_jsd_tile_budget_changes_nothing_but_rounding(eig):
         results.append(d)
     for d in results[:-1]:
         assert np.abs(d - results[-1]).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems, st.sampled_from(BUDGETS))
+def test_kernels_are_bitwise_symmetric(eig, budget):
+    # save_matrix_csv formats only the upper triangle of a matrix that equals its transpose bit for bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_TILE_ENTRIES", budget)
+        matrices = [transition_kernel(eig), laplace_similarity(eig, 0.5), jsd_matrix(eig)]
+    for matrix in matrices:
+        bits = matrix.view(np.int64)
+        assert np.array_equal(bits, bits.T)
 
 
 def test_levels_straddle_the_degeneracy_tolerance():
