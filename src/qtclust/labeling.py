@@ -11,7 +11,7 @@ from .graph import _sq_dist
 
 # budget of the (restarts, k, n) distance array of one Lloyd batch in kmeans
 _BATCH_BYTES = 16 << 20
-# kmeans restarts, and the Lloyd iteration cap and center-shift tolerance of each
+# restarts of kmeans and circle labeling, and the Lloyd iteration cap and center-shift tolerance of each
 _N_RESTARTS = 10
 _MAX_ITER = 300
 _TOL = 1e-6
@@ -90,18 +90,175 @@ def labels_circle_clustering(phases: np.ndarray, q: int, seed) -> np.ndarray:
 
     Takes one phase field and an integer ``seed``, or a block with one field
     per row and one seed per row, and returns labels in the shape of ``phases``.
+    Each row is clustered as ``kmeans`` clusters its points (cos, sin) with
+    the row's seed: the same k-means++ seedings and restarts, and the first
+    restart with the lowest WCSS.  Every (row, restart) pair of the block
+    runs in one Lloyd loop (``_circle_lloyd``) whose steps never read all
+    points; ``_best_restart`` then labels each row from its final centers.
     """
     block = _fields(phases, q)
     if np.shape(seed) != np.shape(phases)[:-1]:
         raise ParameterError("need one seed per phase field")
     circle = np.stack([np.cos(block), np.sin(block)], axis=-1)
-    labels = [kmeans(points, q, row_seed) for points, row_seed in zip(circle, np.reshape(seed, -1).tolist())]
+    rngs = [np.random.default_rng(row_seed) for row_seed in np.reshape(seed, -1).tolist()]
+    start = np.array([[_kmeans_pp(x, q, rng) for _ in range(_N_RESTARTS)] for x, rng in zip(circle, rngs)])
+    final = _circle_lloyd(circle, start, _MAX_ITER, _TOL)
+    labels = [_best_restart(points, centers) for points, centers in zip(circle, final)]
     return np.array(labels, dtype=int).reshape(np.shape(phases))
+
+
+def _best_restart(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Labels of the first restart with the lowest WCSS, from the restarts' final centers (R, k, 2).
+
+    Labels and WCSS come from the exact distances, the WCSS summed in point
+    order, as in ``_lloyd``, so the choice does not depend on how a
+    restart's clusters are named.  Restarts that end on the same set of
+    centers, in any order, have the same WCSS, which is computed once.
+    """
+    center_set = np.sort(centers.view(complex)[..., 0], axis=1)
+    _, first, which = np.unique(center_set, axis=0, return_index=True, return_inverse=True)
+    d2 = _sq_dist(points, centers[first])
+    assigned = d2[:, 0].copy()
+    for c in range(1, centers.shape[1]):
+        np.minimum(assigned, d2[:, c], out=assigned)
+    best = int(assigned.sum(axis=1)[which].argmin())
+    return _nearest(_sq_dist(points, centers[best])[None])[0]
+
+
+def _circle_lloyd(circle: np.ndarray, centers: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
+    """Lloyd iterations of R restarts on each of F rows of points on the unit circle.
+
+    ``circle`` holds the rows' points (F, m, 2) and ``centers`` the start
+    centers (F, R, k, 2).  Returns each restart's centers from the iteration
+    where they first move by at most ``tol``, or from the last one: the
+    centers whose nearest-center labels end that restart, as in ``_lloyd``.
+
+    Each row is sorted by angle once.  A step then costs O(k^2 log m) per
+    restart: ``_arcs`` cuts the circle where the nearest center changes, one
+    ``searchsorted`` finds the cuts among the sorted points of every row, and
+    ``_run_sums`` takes the clusters' counts and sums from prefix sums.  Arc
+    labels differ from the exact nearest center only for points within
+    rounding of a cut.  A restart left with an empty cluster takes that step
+    as ``_lloyd`` does: exact distances and labels, ``_reseed_empty``, and
+    sums in point order.
+    """
+    n_rows, n_r, k, _ = centers.shape
+    m = circle.shape[1]
+    row = np.repeat(np.arange(n_rows), n_r)
+    angle = np.arctan2(circle[..., 1], circle[..., 0])
+    order = np.argsort(angle, axis=1)
+    prefix = np.zeros((n_rows, m + 1, 2))
+    np.cumsum(np.take_along_axis(circle, order[..., None], axis=1), axis=1, out=prefix[:, 1:])
+    prefix = prefix.reshape(-1, 2)
+    # the sorted angles keyed (row, angle): one search serves every row, and complex numbers
+    # order lexicographically, so angles compare exactly, as in a search within the row
+    keys = np.empty(n_rows * m, dtype=complex)
+    keys.real = np.repeat(np.arange(n_rows), m)
+    keys.imag = np.take_along_axis(angle, order, axis=1).ravel()
+    centers = centers.reshape(-1, k, 2).copy()
+    final = np.empty_like(centers)
+    active = np.arange(centers.shape[0])
+    for it in range(max_iter):
+        cur = centers[active]
+        own = row[active]
+        cuts, arc_labels = _arcs(cur)
+        query = np.empty(cuts.shape, dtype=complex)
+        query.real = own[:, None]
+        query.imag = cuts
+        bounds = np.empty((own.size, cuts.shape[1] + 2), dtype=np.intp)
+        bounds[:, 0] = 0
+        bounds[:, 1:-1] = np.searchsorted(keys, query) - m * own[:, None]
+        bounds[:, -1] = m
+        counts, sums = _run_sums(prefix, own * (m + 1), bounds, arc_labels, k)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            points = circle[own[a]]
+            d2 = _sq_dist(points, cur[a])
+            lab = _nearest(d2[None])[0]
+            _reseed_empty(points, cur[a], d2, lab)
+            (counts[a],), (sums[a],) = _cluster_sums(points, lab[None], k)
+        new = cur.copy()
+        filled = counts > 0
+        new[filled] = sums[filled] / counts[filled][:, None]
+        shift = np.sqrt(((new - cur) ** 2).sum(axis=-1)).max(axis=1)
+        centers[active] = new
+        done = (shift <= tol) | (it == max_iter - 1)
+        final[active[done]] = cur[done]
+        active = active[~done]
+        if active.size == 0:
+            break
+    return final.reshape(n_rows, n_r, k, 2)
+
+
+def _arcs(centers: np.ndarray):
+    """Where each center is the nearest on the unit circle: cuts (P, r) and arc labels (P, r + 1).
+
+    Center i is nearer than center j where cos(theta - phi) > rho, with phi
+    the direction of c_i - c_j and rho = (|c_i|^2 - |c_j|^2) / (2 |c_i - c_j|),
+    computed as the projection of (c_i + c_j) / 2 on that direction.  So the
+    cuts of a pair are phi -+ arccos(rho); a pair with |rho| >= 1, or with
+    coincident centers, has none, and its two cuts sit at -pi.  The
+    r = k(k-1) sorted cuts in [-pi, pi) split [-pi, pi] into r + 1
+    intervals, and each interval takes the first nearest center at its
+    midpoint.
+    """
+    n_p, k, _ = centers.shape
+    i, j = np.triu_indices(k, 1)
+    diff = centers[:, i] - centers[:, j]
+    half = (centers[:, i] + centers[:, j]) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = (diff * half).sum(axis=-1) / np.hypot(diff[..., 0], diff[..., 1])
+    crossing = np.abs(rho) < 1.0  # False for the NaN of coincident centers
+    phi = np.arctan2(diff[..., 1], diff[..., 0])
+    alpha = np.arccos(np.where(crossing, rho, 0.0))
+    cuts = np.where(np.tile(crossing, 2), np.concatenate([phi - alpha, phi + alpha], axis=1), -np.pi)
+    cuts = np.where(cuts < -np.pi, cuts + 2 * np.pi, np.where(cuts >= np.pi, cuts - 2 * np.pi, cuts))
+    cuts.sort(axis=1)
+    edges = np.empty((n_p, cuts.shape[1] + 2))
+    edges[:, 0] = -np.pi
+    edges[:, 1:-1] = cuts
+    edges[:, -1] = np.pi
+    mid = (edges[:, :-1] + edges[:, 1:]) / 2
+    at_mid = np.stack([np.cos(mid), np.sin(mid)], axis=-1)
+    return cuts, _nearest(((at_mid[:, None] - centers[:, :, None]) ** 2).sum(axis=-1))
+
+
+def _run_sums(prefix: np.ndarray, base: np.ndarray, bounds: np.ndarray, labels: np.ndarray, k: int):
+    """Member counts (P, k) and coordinate sums (P, k, 2) of the clusters of sorted points.
+
+    Restart p's interval j holds its row's sorted points ``bounds[p, j]`` to
+    ``bounds[p, j + 1]`` and has label ``labels[p, j]``; the row's prefix
+    sums start at row ``base[p]`` of ``prefix``.  The nonempty intervals of
+    one label with no other nonempty interval between them form a run, and
+    a cluster adds the prefix-sum differences of its runs in sorted order.
+    So its sum depends only on which points it holds: not on where the
+    intervals were cut, nor on the cluster's name.
+    """
+    n_p, n_i = labels.shape
+    lo, hi = bounds[:, :-1], bounds[:, 1:]
+    filled = hi > lo
+    # the label of the last nonempty interval before each interval, -1 if none
+    last = np.maximum.accumulate(np.where(filled, np.arange(n_i), -1), axis=1)
+    before = np.where(last >= 0, np.take_along_axis(labels, np.maximum(last, 0), axis=1), -1)
+    start = filled.copy()
+    start[:, 1:] &= labels[:, 1:] != before[:, :-1]
+    # a run ends where the next one starts, or at the last point
+    begin = np.where(start, lo, bounds[:, -1:])
+    end = np.empty_like(lo)
+    end[:, :-1] = np.minimum.accumulate(begin[:, :0:-1], axis=1)[:, ::-1]
+    end[:, -1] = bounds[:, -1]
+    base = base[:, None]
+    value = np.where(start[..., None], prefix[base + end] - prefix[base + lo], 0.0)
+    flat = (labels + k * np.arange(n_p)[:, None]).ravel()
+    counts = np.bincount(flat, weights=np.where(start, end - lo, 0).ravel(), minlength=n_p * k)
+    sums = [np.bincount(flat, weights=value[..., c].ravel(), minlength=n_p * k) for c in range(2)]
+    return counts.astype(int).reshape(n_p, k), np.stack(sums, axis=-1).reshape(n_p, k, 2)
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd k-means with k-means++ seeding, best of ``_N_RESTARTS`` by WCSS.
 
+    Only the spectral baseline (``spectral_cluster``) runs it; circle
+    labeling gives the same labels from its own loop on sorted phases.
     Deterministic for a fixed seed.  A cluster emptied during iteration is
     re-seeded at the point farthest from its assigned centroid.  All
     seedings are drawn first, in the order sequential restarts would draw

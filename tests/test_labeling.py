@@ -8,11 +8,12 @@ from qtclust import (
     kmeans,
     labels_circle_clustering,
     labels_direct_difference,
+    spectral_cluster,
 )
 from qtclust import labeling
 from qtclust.labeling import _lloyd
 
-from conftest import direct_difference_oracle, kmeans_oracle
+from conftest import direct_difference_oracle, kmeans_oracle, random_geometric_graph
 
 
 def test_direct_difference_hand_case():
@@ -103,13 +104,15 @@ def test_wraparound_cluster_kept_whole_by_circle_method():
 
 
 def test_circle_clustering_labels_each_row_with_its_seed():
-    rng = np.random.default_rng(8)
-    block = rng.uniform(-np.pi, np.pi, size=(4, 30))
-    seeds = np.array([3, 1, 4, 1])
-    labels = labels_circle_clustering(block, 3, seeds)
-    assert labels.shape == block.shape
-    for row, seed, got in zip(block, seeds, labels):
-        assert np.array_equal(got, labels_circle_clustering(row, 3, int(seed)))
+    uniform = np.random.default_rng(8).uniform(-np.pi, np.pi, size=(4, 30))
+    # phases on a 0.1 rad grid put points on bisectors of centers, where a cut must be
+    # compared with the phases exactly, whatever the row's place in the block
+    grid = np.round(np.random.default_rng(1).uniform(-np.pi, np.pi, size=(16, 30)), 1)
+    for block, q, seeds in ((uniform, 3, np.array([3, 1, 4, 1])), (grid, 4, np.arange(16))):
+        labels = labels_circle_clustering(block, q, seeds)
+        assert labels.shape == block.shape
+        for row, seed, got in zip(block, seeds, labels):
+            assert np.array_equal(got, labels_circle_clustering(row, q, int(seed)))
 
 
 def test_labelers_reject_bad_shapes_and_seed_counts():
@@ -183,6 +186,37 @@ def test_circle_clustering_matches_sequential_restarts():
         circle = np.column_stack([np.cos(phases), np.sin(phases)])
         expected = kmeans_oracle(circle, 3, seed)
         assert np.array_equal(labels_circle_clustering(phases, 3, seed), expected)
+
+
+def test_circle_clustering_reseeds_stacked_centers(monkeypatch):
+    # two distinct phases and q = 3: k-means++ stacks two centers, and one cluster starts empty
+    phases = np.array([0.0, 0.0, 0.0, 1.0])
+    circle = np.column_stack([np.cos(phases), np.sin(phases)])
+    calls = []
+    reseed = labeling._reseed_empty
+
+    def spy(*args):
+        calls.append(args)
+        reseed(*args)
+
+    monkeypatch.setattr(labeling, "_reseed_empty", spy)
+    for seed in range(6):
+        assert np.array_equal(labels_circle_clustering(phases, 3, seed), kmeans_oracle(circle, 3, seed))
+    assert calls
+
+
+def test_circle_clustering_runs_no_per_point_lloyd_loop(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point Lloyd loop")
+
+    monkeypatch.setattr(labeling, "kmeans", refuse)
+    monkeypatch.setattr(labeling, "_lloyd", refuse)
+    block = np.random.default_rng(9).uniform(-np.pi, np.pi, size=(3, 40))
+    assert labels_circle_clustering(block, 3, np.array([4, 5, 6])).shape == block.shape
+    # the spectral baseline still clusters by kmeans and its Lloyd loop
+    _, eig = random_geometric_graph(9, 10)
+    with pytest.raises(AssertionError, match="per-point Lloyd loop"):
+        spectral_cluster(eig, 2, seed=0)
 
 
 def test_kmeans_restart_batches_do_not_change_labels(monkeypatch):

@@ -1,5 +1,6 @@
 """Property tests of the block labelers and the batched k-means against their per-row oracles."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qtclust import FragmentationWarning, kmeans, labeling, labels_direct_difference
-from qtclust.labeling import _lloyd
+from qtclust import FragmentationWarning, kmeans, labeling, labels_circle_clustering, labels_direct_difference
+from qtclust.graph import _sq_dist
+from qtclust.labeling import _arcs, _lloyd, _nearest, _run_sums
 
 from conftest import direct_difference_oracle, kmeans_oracle, lloyd_oracle
 
@@ -110,3 +112,113 @@ def test_lloyd_matches_each_restart_with_empty_clusters(data):
         expected, _, history = lloyd_oracle(x, centers[r], max_iter, tol)
         assert np.array_equal(labels[r], expected)
         assert wcss[r] == history[-1]
+
+
+@st.composite
+def phase_blocks(draw):
+    """A block of 1-4 phase fields of 1-30 phases, its kind and one seed per field.
+
+    Continuous fields, concentrated arcs, fields touching +-pi and fields of
+    duplicated phases put no point exactly on a bisector of two centers.
+    Fields on a 0.1 rad grid, or stacked at both pi and -pi, can.
+    """
+    rows = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["continuous", "arcs", "touching", "duplicated", "grid", "stacked"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.uniform(-np.pi, np.pi, (rows, m))
+    if kind == "arcs":
+        modes = rng.uniform(-np.pi, np.pi, 3)
+        block = np.angle(np.exp(1j * (modes[rng.integers(3, size=(rows, m))] + 0.05 * rng.normal(size=(rows, m)))))
+    elif kind == "touching":
+        # one edge value per field: pi and -pi, or -pi and its neighbour, are distinct points
+        # closer than any cut can be placed, as in the stacked fields
+        edge = rng.choice([np.pi, -np.pi, np.nextafter(-np.pi, 0.0)], (rows, 1))
+        block = np.where(rng.random((rows, m)) < 0.3, edge, block)
+    elif kind == "duplicated":
+        block = np.take_along_axis(block, rng.integers(max(1, m // 3), size=(rows, m)), axis=1)
+    elif kind == "grid":
+        block = np.round(block, 1)
+    elif kind == "stacked":
+        stack = rng.random((rows, m)) < 0.5
+        block[stack] = rng.choice([np.pi, -np.pi], stack.sum())
+    seeds = rng.integers(0, 2**63 - 1, size=rows)
+    return block, kind, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_circle_clustering_matches_kmeans_oracle(data):
+    block, kind, seeds = data.draw(phase_blocks())
+    q = data.draw(st.integers(1, min(6, block.shape[1])))
+    n_restarts = data.draw(st.integers(1, 10))
+    max_iter = data.draw(st.sampled_from([1, 2, 300]))
+    tol = data.draw(st.sampled_from([0.0, 1e-6, 1e-2]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_N_RESTARTS", n_restarts)
+        mp.setattr(labeling, "_MAX_ITER", max_iter)
+        mp.setattr(labeling, "_TOL", tol)
+        got = labels_circle_clustering(block, q, seeds)
+        rows = [labels_circle_clustering(row, q, int(seed)) for row, seed in zip(block, seeds)]
+    assert np.array_equal(got, rows)
+    assert got.min() >= 0 and got.max() < q
+    if kind not in ("grid", "stacked"):
+        # a point on a bisector can take the other center, and the sums add in sorted order
+        for row, seed, labels in zip(block, seeds, got):
+            circle = np.column_stack([np.cos(row), np.sin(row)])
+            assert np.array_equal(labels, kmeans_oracle(circle, q, int(seed), n_restarts, max_iter, tol))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_arcs_give_the_nearest_center_away_from_the_cuts(data):
+    k = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # centers inside the disk, as means of points on the circle are, or on it, as seeds are
+    radius = rng.uniform(0.0, 1.0, k) if data.draw(st.booleans()) else np.ones(k)
+    angle = rng.uniform(-np.pi, np.pi, k)
+    centers = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    if k > 1 and data.draw(st.booleans()):
+        centers[data.draw(st.integers(1, k - 1))] = centers[0]
+    if data.draw(st.booleans()):
+        centers[data.draw(st.integers(0, k - 1))] = 0.0
+    phases = np.sort(np.concatenate([rng.uniform(-np.pi, np.pi, 200), [-np.pi, np.pi]]))
+    cuts, arc_labels = _arcs(centers[None])
+    got = arc_labels[0, np.searchsorted(cuts[0], phases, side="right")]
+    circle = np.column_stack([np.cos(phases), np.sin(phases)])
+    expected = _nearest(_sq_dist(circle, centers)[None])[0]
+    # the angles where two centers a, b are equally far: cos(theta - phi) = (|a|^2 - |b|^2) / (2 |a - b|)
+    roots = []
+    for a, b in itertools.combinations(centers, 2):
+        d = a - b
+        if np.any(d != 0.0) and abs(rho := (a @ a - b @ b) / (2 * np.hypot(*d))) < 1.0:
+            roots += [np.arctan2(d[1], d[0]) + side * np.arccos(rho) for side in (-1, 1)]
+    far = np.all(np.abs(np.angle(np.exp(1j * (phases[:, None] - np.array(roots))))) > 1e-9, axis=1)
+    assert np.array_equal(got[far], expected[far])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_run_sums_depend_only_on_the_partition(data):
+    # sorted points on the circle, labeled in runs
+    m = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    phases = np.sort(rng.uniform(-np.pi, np.pi, m))
+    points = np.column_stack([np.cos(phases), np.sin(phases)])
+    prefix = np.concatenate([np.zeros((1, 2)), np.cumsum(points, axis=0)])
+    labels = np.repeat(rng.integers(k, size=m), rng.integers(1, 4, size=m))[:m]
+    changes = np.flatnonzero(np.diff(labels)) + 1
+    runs = np.concatenate([[0], changes, [m]])
+    # the same partition cut at more places, with empty intervals of any label among them
+    cuts = np.sort(np.concatenate([changes, rng.integers(0, m + 1, size=data.draw(st.integers(0, 8)))]))
+    pieces = np.concatenate([[0], cuts, [m]])
+    empty = pieces[1:] == pieces[:-1]
+    piece_labels = np.where(empty, rng.integers(k, size=empty.size), labels[np.minimum(pieces[:-1], m - 1)])
+    base = np.zeros(1, dtype=int)
+    counts, sums = _run_sums(prefix, base, runs[None], labels[runs[:-1]][None], k)
+    assert np.array_equal(counts[0], np.bincount(labels, minlength=k))
+    np.testing.assert_allclose(sums[0], [points[labels == c].sum(axis=0) for c in range(k)], rtol=0, atol=1e-12)
+    split_counts, split_sums = _run_sums(prefix, base, pieces[None], piece_labels[None], k)
+    assert np.array_equal(split_counts, counts)
+    assert np.array_equal(split_sums, sums)
