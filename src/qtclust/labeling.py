@@ -9,7 +9,8 @@ import numpy as np
 from .errors import ParameterError
 from .graph import _sq_dist
 
-# budget of the (restarts, k, n) distance array of one Lloyd batch in kmeans
+# budget of the (restarts, k, n) distance array of one Lloyd batch in kmeans; an eighth of it
+# bounds the step arrays of one chunk of (row, restart) pairs in circle labeling
 _BATCH_BYTES = 16 << 20
 # restarts of kmeans and circle labeling, and the Lloyd iteration cap and center-shift tolerance of each
 _N_RESTARTS = 10
@@ -92,18 +93,26 @@ def labels_circle_clustering(phases: np.ndarray, q: int, seed) -> np.ndarray:
     per row and one seed per row, and returns labels in the shape of ``phases``.
     Each row is clustered as ``kmeans`` clusters its points (cos, sin) with
     the row's seed: the same k-means++ seedings and restarts, and the first
-    restart with the lowest WCSS.  Every (row, restart) pair of the block
-    runs in one Lloyd loop (``_circle_lloyd``) whose steps never read all
-    points; ``_best_restart`` then labels each row from its final centers.
+    restart with the lowest WCSS.  While the q(q-1) + 1 arcs between center
+    bisectors number at most a quarter of a row's m points, every (row,
+    restart) pair of the block runs in one Lloyd loop on sorted phases
+    (``_circle_lloyd``) and ``_best_restart`` labels each row from its final
+    centers; the labels are those of ``kmeans`` except where a phase lies
+    within rounding of a bisector.  With more arcs a step over the points
+    costs less, and each row runs ``kmeans``.
     """
     block = _fields(phases, q)
     if np.shape(seed) != np.shape(phases)[:-1]:
         raise ParameterError("need one seed per phase field")
     circle = np.stack([np.cos(block), np.sin(block)], axis=-1)
-    rngs = [np.random.default_rng(row_seed) for row_seed in np.reshape(seed, -1).tolist()]
-    start = np.array([[_kmeans_pp(x, q, rng) for _ in range(_N_RESTARTS)] for x, rng in zip(circle, rngs)])
-    final = _circle_lloyd(circle, start, _MAX_ITER, _TOL)
-    labels = [_best_restart(points, centers) for points, centers in zip(circle, final)]
+    seeds = np.reshape(seed, -1).tolist()
+    if 4 * (q * (q - 1) + 1) > block.shape[1]:
+        labels = [kmeans(points, q, row_seed) for points, row_seed in zip(circle, seeds)]
+    else:
+        rngs = [np.random.default_rng(row_seed) for row_seed in seeds]
+        start = np.array([[_kmeans_pp(x, q, rng) for _ in range(_N_RESTARTS)] for x, rng in zip(circle, rngs)])
+        final = _circle_lloyd(circle, start, _MAX_ITER, _TOL)
+        labels = [_best_restart(points, centers) for points, centers in zip(circle, final)]
     return np.array(labels, dtype=int).reshape(np.shape(phases))
 
 
@@ -112,17 +121,12 @@ def _best_restart(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Labels and WCSS come from the exact distances, the WCSS summed in point
     order, as in ``_lloyd``, so the choice does not depend on how a
-    restart's clusters are named.  Restarts that end on the same set of
-    centers, in any order, have the same WCSS, which is computed once.
+    restart's clusters are named.
     """
-    center_set = np.sort(centers.view(complex)[..., 0], axis=1)
-    _, first, which = np.unique(center_set, axis=0, return_index=True, return_inverse=True)
-    d2 = _sq_dist(points, centers[first])
-    assigned = d2[:, 0].copy()
-    for c in range(1, centers.shape[1]):
-        np.minimum(assigned, d2[:, c], out=assigned)
-    best = int(assigned.sum(axis=1)[which].argmin())
-    return _nearest(_sq_dist(points, centers[best])[None])[0]
+    d2 = _sq_dist(points, centers)
+    labels = _nearest(d2)
+    wcss = np.take_along_axis(d2, labels[:, None], axis=1)[:, 0].sum(axis=1)
+    return labels[int(wcss.argmin())]
 
 
 def _circle_lloyd(circle: np.ndarray, centers: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
@@ -133,14 +137,16 @@ def _circle_lloyd(circle: np.ndarray, centers: np.ndarray, max_iter: int, tol: f
     where they first move by at most ``tol``, or from the last one: the
     centers whose nearest-center labels end that restart, as in ``_lloyd``.
 
-    Each row is sorted by angle once.  A step then costs O(k^2 log m) per
-    restart: ``_arcs`` cuts the circle where the nearest center changes, one
-    ``searchsorted`` finds the cuts among the sorted points of every row, and
-    ``_run_sums`` takes the clusters' counts and sums from prefix sums.  Arc
-    labels differ from the exact nearest center only for points within
-    rounding of a cut.  A restart left with an empty cluster takes that step
-    as ``_lloyd`` does: exact distances and labels, ``_reseed_empty``, and
-    sums in point order.
+    Each row is sorted by angle once.  A step then costs O(k^3 + k^2 log m)
+    per restart: ``_arcs`` cuts the circle at the k(k-1) bisector roots and
+    labels the k(k-1) + 1 arcs between them by the nearest of the k centers
+    at their midpoints, one ``searchsorted`` finds the cuts among the sorted
+    points of every row, and ``_run_sums`` takes the clusters' counts and
+    sums from prefix sums.  Arc labels differ from the exact nearest center
+    only for points within rounding of a cut.  A restart left with an empty
+    cluster takes that step as ``_lloyd`` does: exact distances and labels,
+    ``_reseed_empty``, and sums in point order.  The pairs run in chunks
+    whose step arrays fit an eighth of ``_BATCH_BYTES``.
     """
     n_rows, n_r, k, _ = centers.shape
     m = circle.shape[1]
@@ -157,35 +163,40 @@ def _circle_lloyd(circle: np.ndarray, centers: np.ndarray, max_iter: int, tol: f
     keys.imag = np.take_along_axis(angle, order, axis=1).ravel()
     centers = centers.reshape(-1, k, 2).copy()
     final = np.empty_like(centers)
-    active = np.arange(centers.shape[0])
-    for it in range(max_iter):
-        cur = centers[active]
-        own = row[active]
-        cuts, arc_labels = _arcs(cur)
-        query = np.empty(cuts.shape, dtype=complex)
-        query.real = own[:, None]
-        query.imag = cuts
-        bounds = np.empty((own.size, cuts.shape[1] + 2), dtype=np.intp)
-        bounds[:, 0] = 0
-        bounds[:, 1:-1] = np.searchsorted(keys, query) - m * own[:, None]
-        bounds[:, -1] = m
-        counts, sums = _run_sums(prefix, own * (m + 1), bounds, arc_labels, k)
-        for a in np.flatnonzero((counts == 0).any(axis=1)):
-            points = circle[own[a]]
-            d2 = _sq_dist(points, cur[a])
-            lab = _nearest(d2[None])[0]
-            _reseed_empty(points, cur[a], d2, lab)
-            (counts[a],), (sums[a],) = _cluster_sums(points, lab[None], k)
-        new = cur.copy()
-        filled = counts > 0
-        new[filled] = sums[filled] / counts[filled][:, None]
-        shift = np.sqrt(((new - cur) ** 2).sum(axis=-1)).max(axis=1)
-        centers[active] = new
-        done = (shift <= tol) | (it == max_iter - 1)
-        final[active[done]] = cur[done]
-        active = active[~done]
-        if active.size == 0:
-            break
+    # pairs per chunk: a step holds about 16 k + 200 bytes per arc of a pair (the distances of
+    # _arcs, the cuts, the search and the run sums), and a chunk's pairs fit an eighth of
+    # _BATCH_BYTES, which keeps the peak at that of kmeans row by row
+    width = max(1, _BATCH_BYTES // 8 // ((16 * k + 200) * (k * (k - 1) + 1)))
+    for lo in range(0, centers.shape[0], width):
+        active = np.arange(lo, min(lo + width, centers.shape[0]))
+        for it in range(max_iter):
+            cur = centers[active]
+            own = row[active]
+            cuts, arc_labels = _arcs(cur)
+            query = np.empty(cuts.shape, dtype=complex)
+            query.real = own[:, None]
+            query.imag = cuts
+            bounds = np.empty((own.size, cuts.shape[1] + 2), dtype=np.intp)
+            bounds[:, 0] = 0
+            bounds[:, 1:-1] = np.searchsorted(keys, query) - m * own[:, None]
+            bounds[:, -1] = m
+            counts, sums = _run_sums(prefix, own * (m + 1), bounds, arc_labels, k)
+            for a in np.flatnonzero((counts == 0).any(axis=1)):
+                points = circle[own[a]]
+                d2 = _sq_dist(points, cur[a])
+                lab = _nearest(d2[None])[0]
+                _reseed_empty(points, cur[a], d2, lab)
+                (counts[a],), (sums[a],) = _cluster_sums(points, lab[None], k)
+            new = cur.copy()
+            filled = counts > 0
+            new[filled] = sums[filled] / counts[filled][:, None]
+            shift = np.sqrt(((new - cur) ** 2).sum(axis=-1)).max(axis=1)
+            centers[active] = new
+            done = (shift <= tol) | (it == max_iter - 1)
+            final[active[done]] = cur[done]
+            active = active[~done]
+            if active.size == 0:
+                break
     return final.reshape(n_rows, n_r, k, 2)
 
 
@@ -218,8 +229,13 @@ def _arcs(centers: np.ndarray):
     edges[:, 1:-1] = cuts
     edges[:, -1] = np.pi
     mid = (edges[:, :-1] + edges[:, 1:]) / 2
-    at_mid = np.stack([np.cos(mid), np.sin(mid)], axis=-1)
-    return cuts, _nearest(((at_mid[:, None] - centers[:, :, None]) ** 2).sum(axis=-1))
+    # the squared distances (P, k, r + 1) summed one coordinate at a time, as _sq_dist does
+    d2 = np.cos(mid)[:, None] - centers[..., 0, None]
+    dy = np.sin(mid)[:, None] - centers[..., 1, None]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return cuts, _nearest(d2)
 
 
 def _run_sums(prefix: np.ndarray, base: np.ndarray, bounds: np.ndarray, labels: np.ndarray, k: int):
@@ -257,8 +273,9 @@ def _run_sums(prefix: np.ndarray, base: np.ndarray, bounds: np.ndarray, labels: 
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd k-means with k-means++ seeding, best of ``_N_RESTARTS`` by WCSS.
 
-    Only the spectral baseline (``spectral_cluster``) runs it; circle
-    labeling gives the same labels from its own loop on sorted phases.
+    The spectral baseline (``spectral_cluster``) runs it, and circle
+    labeling does for fields with more than m/4 arcs; below that circle
+    labeling gets the same labels from its own loop on sorted phases.
     Deterministic for a fixed seed.  A cluster emptied during iteration is
     re-seeded at the point farthest from its assigned centroid.  All
     seedings are drawn first, in the order sequential restarts would draw

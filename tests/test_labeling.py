@@ -11,7 +11,7 @@ from qtclust import (
     spectral_cluster,
 )
 from qtclust import labeling
-from qtclust.labeling import _lloyd
+from qtclust.labeling import _circle_lloyd, _lloyd
 
 from conftest import direct_difference_oracle, kmeans_oracle, random_geometric_graph
 
@@ -107,7 +107,7 @@ def test_circle_clustering_labels_each_row_with_its_seed():
     uniform = np.random.default_rng(8).uniform(-np.pi, np.pi, size=(4, 30))
     # phases on a 0.1 rad grid put points on bisectors of centers, where a cut must be
     # compared with the phases exactly, whatever the row's place in the block
-    grid = np.round(np.random.default_rng(1).uniform(-np.pi, np.pi, size=(16, 30)), 1)
+    grid = np.round(np.random.default_rng(1).uniform(-np.pi, np.pi, size=(16, 60)), 1)
     for block, q, seeds in ((uniform, 3, np.array([3, 1, 4, 1])), (grid, 4, np.arange(16))):
         labels = labels_circle_clustering(block, q, seeds)
         assert labels.shape == block.shape
@@ -189,8 +189,9 @@ def test_circle_clustering_matches_sequential_restarts():
 
 
 def test_circle_clustering_reseeds_stacked_centers(monkeypatch):
-    # two distinct phases and q = 3: k-means++ stacks two centers, and one cluster starts empty
-    phases = np.array([0.0, 0.0, 0.0, 1.0])
+    # two distinct phases and q = 3: k-means++ stacks two centers, and one cluster starts empty;
+    # 28 phases are enough for the arc route, so kmeans must not run
+    phases = np.repeat([0.0, 1.0], [21, 7])
     circle = np.column_stack([np.cos(phases), np.sin(phases)])
     calls = []
     reseed = labeling._reseed_empty
@@ -200,9 +201,33 @@ def test_circle_clustering_reseeds_stacked_centers(monkeypatch):
         reseed(*args)
 
     monkeypatch.setattr(labeling, "_reseed_empty", spy)
+    monkeypatch.setattr(labeling, "kmeans", None)
     for seed in range(6):
         assert np.array_equal(labels_circle_clustering(phases, 3, seed), kmeans_oracle(circle, 3, seed))
     assert calls
+
+
+def test_circle_lloyd_chunks_fit_the_budget_and_do_not_change_centers(monkeypatch):
+    rng = np.random.default_rng(12)
+    phases = rng.uniform(-np.pi, np.pi, size=(3, 60))
+    circle = np.stack([np.cos(phases), np.sin(phases)], axis=-1)
+    start = np.array([[labeling._kmeans_pp(x, 4, rng) for _ in range(10)] for x in circle])
+    expected = _circle_lloyd(circle, start, 300, 1e-6)
+    sizes = []
+    arcs = labeling._arcs
+
+    def spy(centers):
+        sizes.append(len(centers))
+        return arcs(centers)
+
+    monkeypatch.setattr(labeling, "_arcs", spy)
+    # a (row, restart) pair's step holds (16 k + 200) (k(k-1) + 1) = 3432 bytes at k = 4, and a
+    # chunk an eighth of the budget: one pair per chunk, and chunks of 7 of the 30 pairs, the last short
+    for budget, width in ((8, 1), (8 * 7 * 3432, 7)):
+        monkeypatch.setattr(labeling, "_BATCH_BYTES", budget)
+        sizes.clear()
+        assert np.array_equal(_circle_lloyd(circle, start, 300, 1e-6), expected)
+        assert max(sizes) == width
 
 
 def test_circle_clustering_runs_no_per_point_lloyd_loop(monkeypatch):
@@ -212,7 +237,11 @@ def test_circle_clustering_runs_no_per_point_lloyd_loop(monkeypatch):
     monkeypatch.setattr(labeling, "kmeans", refuse)
     monkeypatch.setattr(labeling, "_lloyd", refuse)
     block = np.random.default_rng(9).uniform(-np.pi, np.pi, size=(3, 40))
+    # 4 (q(q-1) + 1) = 28 <= 40 at q = 3: the arcs are few, and the Lloyd steps take them
     assert labels_circle_clustering(block, 3, np.array([4, 5, 6])).shape == block.shape
+    # 52 > 40 at q = 4: a step over the points costs less, and each row runs kmeans
+    with pytest.raises(AssertionError, match="per-point Lloyd loop"):
+        labels_circle_clustering(block, 4, np.array([4, 5, 6]))
     # the spectral baseline still clusters by kmeans and its Lloyd loop
     _, eig = random_geometric_graph(9, 10)
     with pytest.raises(AssertionError, match="per-point Lloyd loop"):

@@ -115,15 +115,18 @@ def test_lloyd_matches_each_restart_with_empty_clusters(data):
 
 
 @st.composite
-def phase_blocks(draw):
-    """A block of 1-4 phase fields of 1-30 phases, its kind and one seed per field.
+def phase_blocks(draw, q):
+    """A block of 1-4 phase fields of at least q phases, its kind and one seed per field.
 
+    Half the blocks have 4 (q(q-1) + 1) or more phases per field, enough for
+    circle labeling's Lloyd steps on arcs; the others are labeled by kmeans.
     Continuous fields, concentrated arcs, fields touching +-pi and fields of
     duplicated phases put no point exactly on a bisector of two centers.
     Fields on a 0.1 rad grid, or stacked at both pi and -pi, can.
     """
     rows = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 30))
+    arcs = 4 * (q * (q - 1) + 1)
+    m = draw(st.integers(arcs, arcs + 10) if draw(st.booleans()) else st.integers(q, arcs - 1))
     kind = draw(st.sampled_from(["continuous", "arcs", "touching", "duplicated", "grid", "stacked"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     block = rng.uniform(-np.pi, np.pi, (rows, m))
@@ -149,8 +152,8 @@ def phase_blocks(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_circle_clustering_matches_kmeans_oracle(data):
-    block, kind, seeds = data.draw(phase_blocks())
-    q = data.draw(st.integers(1, min(6, block.shape[1])))
+    q = data.draw(st.integers(1, 6))
+    block, kind, seeds = data.draw(phase_blocks(q))
     n_restarts = data.draw(st.integers(1, 10))
     max_iter = data.draw(st.sampled_from([1, 2, 300]))
     tol = data.draw(st.sampled_from([0.0, 1e-6, 1e-2]))
