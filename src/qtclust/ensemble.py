@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import _readonly
+from .graph import _equal_rows, _readonly
 from .labeling import labels_circle_clustering, labels_direct_difference
 from .transport import phase_field
 
@@ -178,28 +178,33 @@ def majority_partition(omega: np.ndarray, q: int):
 def consensus_matrix(omega: np.ndarray, q: int) -> np.ndarray:
     """Fraction of initializations assigning each node pair the same label.
 
-    With Y the one-hot encoding of the columns, q entries per column, the
-    pair counts are Y Y^T.  Whole columns go into float32 blocks of Y and the
-    product into row tiles, each bounded by ``_BLOCK_BYTES``.  A pair's
-    count does not depend on how a column names its labels, so no column is
-    relabeled.  An entry of a tile product sums at most one 1 per column of
-    the block, and a block holds at most ``_BLOCK_BYTES // 4`` = 2^20 < 2^24
-    columns, so every partial sum is an integer that float32 holds exactly,
-    in any summation order; adding the tiles into the float64 counts is
-    exact too.  So the result equals the per-pair count divided by m' bit
-    for bit.
+    Nodes whose rows of ``omega`` are equal (found by ``graph._equal_rows``,
+    exactly: no key collision merges different rows) have equal rows of the
+    result, so the pair counts are formed on one row per group, g rows in
+    all, and then expanded to m x m.  With Y the one-hot encoding of those
+    rows, q entries per column, the counts are Y Y^T.  Whole columns go into
+    float32 blocks of Y and the product into row tiles, each bounded by
+    ``_BLOCK_BYTES``.  A pair's count does not depend on how a column names
+    its labels, so no column is relabeled.  An entry of a tile product sums
+    at most one 1 per column of the block, and a block holds at most
+    ``_BLOCK_BYTES // 4`` = 2^20 < 2^24 columns, so every partial sum is an
+    integer that float32 holds exactly, in any summation order; adding the
+    tiles into the float64 counts is exact too.  So the result equals the
+    per-pair count divided by m' bit for bit.
     """
     cols = _label_matrix(omega, q)
-    m, m_prime = cols.shape
-    step = max(1, _BLOCK_BYTES // (4 * m))  # entries per row of a Y block, rows per product tile
+    m_prime = cols.shape[1]
+    firsts, group = np.unique(_equal_rows(cols), return_inverse=True)
+    g = firsts.size
+    step = max(1, _BLOCK_BYTES // (4 * g))  # entries per row of a Y block, rows per product tile
     width = max(1, step // q)  # columns per Y block
-    rows = np.arange(m)[:, None]
-    counts = np.zeros((m, m))
+    rows = np.arange(g)[:, None]
+    counts = np.zeros((g, g))
     for lo in range(0, m_prime, width):
-        block = cols[:, lo : lo + width]
-        y = np.zeros((m, q * block.shape[1]), dtype=np.float32)
+        block = cols[firsts, lo : lo + width]
+        y = np.zeros((g, q * block.shape[1]), dtype=np.float32)
         y[rows, block + q * np.arange(block.shape[1])] = 1.0
-        for r in range(0, m, step):
+        for r in range(0, g, step):
             counts[r : r + step] += y[r : r + step] @ y.T
     counts /= m_prime
-    return counts
+    return np.take(np.take(counts, group, axis=1), group, axis=0)

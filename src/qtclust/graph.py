@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +70,9 @@ class GraphBundle:
 def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
     """Euclidean distance matrix, bitwise identical to a per-pair norm loop.
 
-    ``InputError`` naming two points whose squared distance overflows.
+    Row tiles run on ``_worker_count()`` threads (see :func:`_run_tiles`),
+    with the same bits at any count.  ``InputError`` naming two points whose
+    squared distance overflows: the first such pair in row order.
     """
     x = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -82,33 +86,43 @@ def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
     # the sticks benchmark peaked at 80.4-81.5 MiB, against 84.6-87.1 MiB with 16 MiB (rows, m, d)
     # blocks (10 runs each)
     step = max(1, _tile_rows(m) // (d if d >= 8 else 1))
-    for lo in range(0, m, step):
+
+    def tile(lo, scratch):
+        squared = out[lo : lo + step]
         with np.errstate(over="ignore"):
-            squared = _sq_dist(x, x[lo : lo + step])
+            _sq_dist(x, x[lo : lo + step], out=squared, scratch=scratch[: squared.shape[0]])
         if np.isinf(squared.max()):
             i, j = np.argwhere(np.isinf(squared))[0]
             raise InputError(
                 f"points {lo + i} and {j} are too far apart: their squared distance overflows "
                 "(coordinate differences must stay below ~1.3e154)"
             )
-        np.sqrt(squared, out=out[lo : lo + step])
+        np.sqrt(squared, out=squared)
+
+    _run_tiles(tile, range(0, m, step), (step, m, d) if d >= 8 else (step, m))
     return out
 
 
-def _sq_dist(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dist(x: np.ndarray, centers: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Squared distances from centers (..., d) to the n points x (n, d), shape (..., n).
 
     Bit for bit ``((x - c) ** 2).sum(axis=-1)``.  numpy adds fewer than
     eight terms in order, so below eight dimensions the sum is accumulated
     one dimension at a time, an order of magnitude faster than reducing a
     short last axis; from eight on numpy sums pairwise, and so does this.
+    ``out`` receives the result and ``scratch`` the differences, of shape
+    (..., n) below eight dimensions and (..., n, d) from eight on; either is
+    allocated when not given.
     """
     d = x.shape[1]
     if d >= 8:
-        return ((x - centers[..., None, :]) ** 2).sum(axis=-1)
-    out = (x[:, 0] - centers[..., 0, None]) ** 2
+        diff = np.subtract(x, centers[..., None, :], out=scratch)
+        return np.sum(np.square(diff, out=diff), axis=-1, out=out)
+    out = np.subtract(x[:, 0], centers[..., 0, None], out=out)
+    np.square(out, out=out)
     for j in range(1, d):
-        out += (x[:, j] - centers[..., j, None]) ** 2
+        diff = np.subtract(x[:, j], centers[..., j, None], out=scratch)
+        out += np.square(diff, out=diff)
     return out
 
 
@@ -130,13 +144,28 @@ def quantile_proximity(dist: np.ndarray, eps: float) -> float:
 
 
 def gaussian_adjacency(dist: np.ndarray, r_eps: float) -> np.ndarray:
-    """A_ij = exp(-(r_ij / r_eps)^2); unit diagonal, entries in (0, 1]."""
+    """A_ij = exp(-(r_ij / r_eps)^2); unit diagonal, entries in (0, 1].
+
+    A new m x m array, built a row tile at a time on ``_worker_count()``
+    threads; ``dist`` is only read.
+    """
     if not (np.isfinite(r_eps) and r_eps > 0.0):
         raise ParameterError(f"proximity scale must be a positive finite number, got {r_eps!r}")
-    a = np.asarray(dist, dtype=float) / r_eps
-    np.square(a, out=a)
-    np.negative(a, out=a)
-    return np.exp(a, out=a)
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2:
+        raise InputError("distance matrix must be two-dimensional")
+    a = np.empty(d.shape)
+    step = _tile_rows(d.shape[1])
+
+    def tile(lo, _):
+        rows = a[lo : lo + step]
+        np.divide(d[lo : lo + step], r_eps, out=rows)
+        np.square(rows, out=rows)
+        np.negative(rows, out=rows)
+        np.exp(rows, out=rows)
+
+    _run_tiles(tile, range(0, d.shape[0], step))
+    return a
 
 
 def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundle:
@@ -145,27 +174,59 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
     H annihilates the sqrt-degree vector, so a connected graph always has a
     zero mode proportional to sqrt(deg).  Neither the degrees nor the plain
     Laplacian D - A is kept; callers that need them build them from A.
+    One pass over row tiles finds A's extremes and degrees, one over pairs
+    of square tiles checks its symmetry, and one more builds H tile pair by
+    tile pair, each on ``_worker_count()`` threads.  H equals
+    (H' + H'^T) / 2 bit for bit, H' = I - D^-1/2 A D^-1/2 formed entry by
+    entry, at any thread count.
     """
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("adjacency must be square")
-    if not np.isfinite(a).all():
+    m = a.shape[0]
+    step = _tile_rows(m)
+    lows = np.empty(-(-m // step))
+    highs = np.empty_like(lows)
+    degrees = np.empty(m)
+
+    def scan(k, _):
+        rows = a[k * step : (k + 1) * step]
+        # a NaN makes both extremes NaN, an infinity one of them; either raises below
+        lows[k], highs[k] = rows.min(), rows.max()
+        with np.errstate(invalid="ignore"):
+            np.sum(rows, axis=1, out=degrees[k * step : (k + 1) * step])
+
+    _run_tiles(scan, range(lows.size))
+    if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
         raise InputError("adjacency contains non-finite entries")
     _check_symmetric(a, SYMMETRY_TOL, "adjacency must be symmetric")
-    m = a.shape[0]
-    if a.min() < 0.0:
+    if lows.min() < 0.0:
         raise InputError("adjacency entries must be nonnegative")
-    degrees = a.sum(axis=1)
     if (degrees <= 0.0).any():
         bad = int(np.nonzero(degrees <= 0.0)[0][0])
         raise IsolatedNodeError(f"node {bad} has zero degree and cannot be normalized")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    # H = I - D^-1/2 A D^-1/2 in one m x m array; 0 - x keeps +0.0 where x is 0
-    hamiltonian = a * inv_sqrt[:, None]
-    hamiltonian *= inv_sqrt[None, :]
-    np.subtract(0.0, hamiltonian, out=hamiltonian)
-    hamiltonian.flat[:: m + 1] += 1.0
-    _symmetrize(hamiltonian)
+    hamiltonian = np.empty((m, m))
+    side = _tile_side(m)
+
+    def build(pair, scratch):
+        rows, cols = (slice(lo, lo + side) for lo in pair)
+        # H' = I - D^-1/2 A D^-1/2 on both tiles of the pair; 0 - x keeps +0.0 where x is 0
+        for r, c in ((rows, cols), (cols, rows)) if rows != cols else ((rows, cols),):
+            h = hamiltonian[r, c]
+            np.multiply(a[r, c], inv_sqrt[r, None], out=h)
+            h *= inv_sqrt[None, c]
+            np.subtract(0.0, h, out=h)
+        if rows == cols:
+            diagonal = np.arange(rows.start, min(rows.stop, m))
+            hamiltonian[diagonal, diagonal] += 1.0
+        upper = hamiltonian[rows, cols]
+        mean = np.add(upper, hamiltonian[cols, rows].T, out=scratch[: upper.shape[0], : upper.shape[1]])
+        mean /= 2.0
+        upper[...] = mean
+        hamiltonian[cols, rows] = mean.T
+
+    _run_tiles(build, _tile_pairs(m, side), (side, side))
     return GraphBundle(hamiltonian=hamiltonian, proximity=float(proximity))
 
 
@@ -179,24 +240,103 @@ def _tile_side(m: int) -> int:
     return max(1, math.isqrt(_tile_rows(m) * m))
 
 
+def _tile_pairs(m: int, side: int) -> list:
+    """The starts (lo, lo2), lo <= lo2, of the pairs of square tiles (lo, lo2) and (lo2, lo) of an m x m matrix."""
+    return [(lo, lo2) for lo in range(0, m, side) for lo2 in range(lo, m, side)]
+
+
 def _check_symmetric(a: np.ndarray, tol: float, message: str) -> None:
-    """Raise ``InputError(message)`` unless |a - a^T| <= tol, checked one pair of square tiles at a time."""
-    m = a.shape[0]
-    step = _tile_side(m)
-    for lo in range(0, m, step):
-        for lo2 in range(lo, m, step):
-            rows, cols = slice(lo, lo + step), slice(lo2, lo2 + step)
-            if np.abs(a[rows, cols] - a[cols, rows].T).max() > tol:
-                raise InputError(message)
+    """Raise ``InputError(message)`` unless |a - a^T| <= tol, checked one pair of square tiles at a time on threads."""
+    side = _tile_side(a.shape[0])
+
+    def check(pair, scratch):
+        rows, cols = (slice(lo, lo + side) for lo in pair)
+        upper = a[rows, cols]
+        diff = np.subtract(upper, a[cols, rows].T, out=scratch[: upper.shape[0], : upper.shape[1]])
+        if np.abs(diff, out=diff).max() > tol:
+            raise InputError(message)
+
+    _run_tiles(check, _tile_pairs(a.shape[0], side), (side, side))
 
 
-def _symmetrize(h: np.ndarray) -> None:
-    """Replace h by (h + h^T) / 2 in place, one pair of square tiles at a time."""
-    m = h.shape[0]
-    step = _tile_side(m)
+def _equal_rows(bits: np.ndarray) -> np.ndarray:
+    """For each row of the two-dimensional int64 array ``bits``, the index of an equal row at or before it.
+
+    Rows are keyed by their entries times fixed odd random weights, summed
+    modulo 2^64.  Row i gets the first row with its key when the two are
+    equal entry for entry, and i otherwise, so a key collision never pairs
+    different rows; a row that gets itself is the first of its kind unless
+    keys collided.  Keys and comparisons go a block of about 1 MiB of rows
+    at a time, so no m x n array is allocated.
+    """
+    m, n = bits.shape
+    weights = _key_weights(n)
+    step = max(1, (1 << 17) // max(n, 1))
+    keys = np.empty(m, dtype=np.uint64)
     for lo in range(0, m, step):
-        for lo2 in range(lo, m, step):
-            rows, cols = slice(lo, lo + step), slice(lo2, lo2 + step)
-            mean = (h[rows, cols] + h[cols, rows].T) / 2.0
-            h[rows, cols] = mean
-            h[cols, rows] = mean.T
+        np.matmul(bits[lo : lo + step].view(np.uint64), weights, out=keys[lo : lo + step])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    equal = first[inverse]
+    for lo in range(0, m, step):
+        block = equal[lo : lo + step]
+        differs = (bits[lo : lo + step] != bits[block]).any(axis=1)
+        block[differs] = np.arange(lo, lo + block.size)[differs]
+    return equal
+
+
+def _key_weights(n: int) -> np.ndarray:
+    """The n odd uint64 weights of the row keys of ``_equal_rows``, the same on every call."""
+    return np.random.default_rng(0).integers(0, 1 << 63, size=n, dtype=np.uint64) * 2 + 1
+
+
+def _worker_count() -> int:
+    """Threads for the tile loops: the CPUs this process may use, no more than a BLAS thread count set in the environment."""
+    try:
+        count = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        count = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) >= 1:
+            count = min(count, int(value))
+    return max(1, count)
+
+
+def _run_tiles(task, tiles, scratch_shape: tuple = (0,)) -> None:
+    """Call ``task(tile, scratch)`` for every tile of ``tiles``, on ``_worker_count()`` threads.
+
+    Worker k takes tiles k, k + n, k + 2n, ... in order, n workers in all,
+    with its own float64 ``scratch`` array of ``scratch_shape``; the calling
+    thread is worker 0.  The scratch is allocated here, by the caller,
+    because glibc gives every thread its own heap arena and whatever a
+    worker allocates there can stay resident.  Tasks must write disjoint
+    parts of their outputs and allocate nothing large.  The caller's numpy
+    error state does not reach the other threads, so a task sets the one it
+    needs.  If
+    tasks raise, every worker stops at its first failing tile, and once all
+    have stopped the exception of the first failing tile in order is
+    raised: the one a serial loop would raise.
+    """
+    tiles = list(tiles)
+    n = max(1, min(_worker_count(), len(tiles)))
+    scratch = np.empty((n, *scratch_shape))
+    failures = []
+
+    def work(k):
+        for i in range(k, len(tiles), n):
+            try:
+                task(tiles[i], scratch[k])
+            except Exception as exc:  # re-raised by the calling thread
+                failures.append((i, exc))
+                return
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, n)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .graph import PointSet
+from .graph import PointSet, _equal_rows
 
 _FMT = "%.17g"
 # entries per block of rows in save_matrix_csv, and per tile (about 45 x 45) of its mirror route.  The
@@ -135,39 +135,66 @@ def save_matrix_csv(path, matrix: np.ndarray, levels: int | None = None) -> None
     waits until its row is written (see ``_write_mirrored``).  Other matrices
     go out in blocks of whole rows.  A caller that knows every entry is
     k / ``levels`` for an integer k in [0, levels], as a consensus matrix of
-    ``levels`` start nodes is, passes ``levels``: the levels + 1 values are
-    formatted once for the whole file, each entry's k is recovered by
-    rounding, with no sort, and the rows go out in blocks.  An entry that is
-    not k / levels bit for bit, NaN included, raises ``ParameterError`` once
-    the rows of the blocks before it are written.
+    ``levels`` start nodes is, passes ``levels``, and its rows go out by
+    ``_write_levels``: the levels + 1 values are formatted once for the
+    whole file, each entry's k is recovered by rounding, with no sort, and a
+    row is checked and formatted only the first time its bits appear.  An
+    entry that is not k / levels bit for bit, NaN included, raises
+    ``ParameterError`` once the rows of the blocks before it are written.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     if arr.ndim != 2:
         raise InputError(f"matrix must be 1-D or 2-D, got shape {arr.shape}")
-    if levels is not None:
-        if not (isinstance(levels, (int, np.integer)) and levels >= 1):
-            raise ParameterError(f"levels must be a positive integer, got {levels!r}")
-        grid = np.arange(levels + 1) / levels
-        table = _cell_table(grid)
+    if levels is not None and not (isinstance(levels, (int, np.integer)) and levels >= 1):
+        raise ParameterError(f"levels must be a positive integer, got {levels!r}")
     n = arr.shape[1]
     with open_for_writing(path) as fh:
         if n == 0:  # rows without cells are bare newlines
             fh.write("\n" * arr.shape[0])
-            return
-        if levels is None and _bitwise_symmetric(arr):
+        elif levels is not None:
+            _write_levels(fh, arr, levels)
+        elif _bitwise_symmetric(arr):
             _write_mirrored(fh, arr)
-            return
-        step = max(1, _WRITE_BLOCK // n)
-        for lo in range(0, arr.shape[0], step):
-            block = np.ascontiguousarray(arr[lo : lo + step])
-            if levels is None:
-                table, index = _distinct_cells(block)
-            else:
-                index = _grid_index(block, grid, levels)
-            cells = table[index.reshape(-1)].tolist()
-            # the last cell of each row trades its comma for the newline
-            cells[n - 1 :: n] = [cell[:-1] + "\n" for cell in cells[n - 1 :: n]]
-            fh.write("".join(cells))
+        else:
+            step = max(1, _WRITE_BLOCK // n)
+            for lo in range(0, arr.shape[0], step):
+                fh.write("".join(_row_cells(*_distinct_cells(np.ascontiguousarray(arr[lo : lo + step])))))
+
+
+def _row_cells(table: np.ndarray, index: np.ndarray) -> list:
+    """The cells ``table[index]`` row after row, the last cell of each row ending in a newline instead of a comma."""
+    n = index.shape[1]
+    cells = table[index.reshape(-1)].tolist()
+    cells[n - 1 :: n] = [cell[:-1] + "\n" for cell in cells[n - 1 :: n]]
+    return cells
+
+
+def _write_levels(fh, arr: np.ndarray, levels: int) -> None:
+    """Write ``arr``, every entry k / ``levels``, checking and formatting each distinct row once.
+
+    ``graph._equal_rows`` points every row at an equal row at or before it,
+    by bits.  A row that points at itself is checked (``_grid_index``) and
+    formatted with the rows of its block that do the same; any other row
+    repeats the text of the row it points at.  That text is kept, as bytes,
+    only until the last row that repeats it is written.
+    """
+    grid = np.arange(levels + 1) / levels
+    table = _cell_table(grid)
+    m, n = arr.shape
+    equal = _equal_rows(arr.view(np.int64))
+    last = np.zeros(m, dtype=np.intp)
+    np.maximum.at(last, equal, np.arange(m))
+    kept = {}
+    out = fh.buffer
+    step = max(1, _WRITE_BLOCK // n)
+    for lo in range(0, m, step):
+        block = equal[lo : lo + step].tolist()
+        new = [i for i, first in enumerate(block, lo) if first == i]
+        if new:
+            cells = _row_cells(table, _grid_index(arr[new], grid, levels))
+            kept.update((i, "".join(cells[k * n : (k + 1) * n]).encode()) for k, i in enumerate(new))
+        for i, first in enumerate(block, lo):
+            out.write(kept[first] if last[first] > i else kept.pop(first))
 
 
 def _bitwise_symmetric(arr: np.ndarray) -> bool:

@@ -9,8 +9,8 @@ import numpy as np
 from .ensemble import PartitionTally, consensus_matrix, majority_partition, run_qtc, start_count
 from .errors import ParameterError
 from .graph import GraphBundle, PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
-from .spectral import GapReport, gap_stats, low_energies
-from .transport import LaplaceParams, select_s, solve_source
+from .spectral import GapReport, _low_energies, _symmetric_matrix, gap_stats
+from .transport import LaplaceParams, _solve_source, select_s
 
 SUMMARIES = ("majority", "consensus", "both")
 
@@ -58,13 +58,15 @@ def transport_source(hamiltonian: np.ndarray, q: int, laplace: LaplaceParams):
     q; s comes from the gap rule (:func:`select_s`); and ``amplitudes``, an
     amplitude source for :func:`run_qtc`, solves A psi = e_j by one in-place
     block LDL^T of the complex symmetric A = sI + iH (:func:`solve_source`).
-    The source keeps A and not H.  A single start node j is the one-column
-    case: ``next(amplitudes(np.array([j]), 1))[:, 0]``.
+    The source keeps A and not H.  H is checked once here, for both the
+    energies and the solve.  A single start node j is the one-column case:
+    ``next(amplitudes(np.array([j]), 1))[:, 0]``.
     """
+    h = _symmetric_matrix(hamiltonian)
     q = max(q, 2)
-    gaps = gap_stats(low_energies(hamiltonian, min(q + 1, len(hamiltonian))), q)
+    gaps = gap_stats(_low_energies(h, min(q + 1, len(h))), q)
     s = select_s(gaps, laplace)
-    return gaps, s, solve_source(hamiltonian, s)
+    return gaps, s, _solve_source(h, s)
 
 
 def amplitude_source(points: PointSet, eps: float, q: int, laplace: LaplaceParams):

@@ -121,7 +121,11 @@ def low_energies(matrix: np.ndarray, k: int) -> np.ndarray:
     whole space; if the basis stops growing before that, ``NumericError``.
     Checked and clamped like :func:`eigendecompose`.
     """
-    h = _symmetric_matrix(matrix)
+    return _low_energies(_symmetric_matrix(matrix), k)
+
+
+def _low_energies(h: np.ndarray, k: int) -> np.ndarray:
+    """:func:`low_energies` of an H that ``_symmetric_matrix`` has already checked."""
     m = h.shape[0]
     if not 1 <= k <= m:
         raise ParameterError(f"k must be between 1 and {m}, got {k}")

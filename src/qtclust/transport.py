@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, NumericError, ParameterError
+from .graph import _run_tiles, _tile_rows
 from .spectral import GapReport, _symmetric_matrix
 
 UNDERFLOW_FLOOR = 1e-300
@@ -67,10 +68,24 @@ def solve_source(hamiltonian: np.ndarray, s: float):
     with the iterator.  A second call raises ``ParameterError``, and a chunk
     with a non-finite amplitude ``NumericError``.
     """
+    return _solve_source(_symmetric_matrix(hamiltonian), s)
+
+
+def _solve_source(h: np.ndarray, s: float):
+    """:func:`solve_source` of an H that ``_symmetric_matrix`` has already checked.
+
+    A = s I + i H is built a row tile at a time on ``_worker_count()``
+    threads, with the bits of ``h * 1j`` at any count.
+    """
     _check_s(s)
-    h = _symmetric_matrix(hamiltonian)
     m = h.shape[0]
-    a = h * 1j
+    a = np.empty((m, m), dtype=complex)
+    step = _tile_rows(m)
+
+    def tile(lo, _):
+        np.multiply(h[lo : lo + step], 1j, out=a[lo : lo + step])
+
+    _run_tiles(tile, range(0, m, step))
     a.flat[:: m + 1] += s
 
     def blocks(init_nodes, width):

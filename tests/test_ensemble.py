@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qtclust import ensemble
+from qtclust import graph as graph_module
 from qtclust import (
     LaplaceParams,
     ParameterError,
@@ -104,10 +105,23 @@ def test_consensus_half_on_disagreement():
     assert c[0, 0] == 1.0
 
 
-def test_consensus_matches_triple_loop_exactly():
-    rng = np.random.default_rng(2)
-    omega_arr = rng.integers(0, 3, size=(30, 20))
-    assert np.array_equal(consensus_matrix(omega_arr, 3), consensus_oracle(omega_arr))
+_RNG = np.random.default_rng(2)
+CONSENSUS_OMEGAS = {
+    "random": _RNG.integers(0, 3, size=(30, 20)),
+    # nodes labeled alike by every column share a row: 40 rows drawn from 5
+    "pooled": _RNG.integers(0, 3, size=(5, 20))[_RNG.integers(0, 5, size=40)],
+    "distinct": np.arange(30)[:, None] // 3 ** np.arange(4) % 3,
+    "one_group": np.tile(_RNG.integers(0, 3, size=20), (25, 1)),
+}
+
+
+def test_consensus_matches_triple_loop_exactly(monkeypatch):
+    for omega_arr in CONSENSUS_OMEGAS.values():
+        assert consensus_matrix(omega_arr, 3).tobytes() == consensus_oracle(omega_arr).tobytes()
+    # every row gets the same key, so only the row comparisons keep different rows apart
+    monkeypatch.setattr(graph_module, "_key_weights", lambda n: np.zeros(n, dtype=np.uint64))
+    for omega_arr in CONSENSUS_OMEGAS.values():
+        assert consensus_matrix(omega_arr, 3).tobytes() == consensus_oracle(omega_arr).tobytes()
 
 
 def test_consensus_exact_over_thousands_of_columns_in_one_block():

@@ -1,9 +1,12 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from qtclust import graph as graph_module
+from qtclust import transport
 from qtclust import (
     InputError,
     IsolatedNodeError,
@@ -13,6 +16,7 @@ from qtclust import (
     laplacians,
     pairwise_distances,
     quantile_proximity,
+    solve_source,
 )
 
 
@@ -186,11 +190,30 @@ def test_laplacians_isolated_node():
         laplacians(a)
 
 
-def test_laplacians_rejects_asymmetric_and_negative():
+def test_laplacians_rejects_asymmetric_and_negative(monkeypatch):
     with pytest.raises(InputError):
         laplacians(np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(InputError):
         laplacians(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    # one row per tile: the checks keep their order at any worker count, whichever tile a worker reaches first
+    monkeypatch.setattr(graph_module, "_tile_rows", lambda m: 1)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(graph_module, "_worker_count", lambda: workers)
+        a = np.ones((9, 9))
+        a[1, 7] = 0.5  # asymmetric in an early tile
+        a[8, 2] = np.nan
+        with pytest.raises(InputError, match="non-finite"):
+            laplacians(a)
+        a[8, 2] = a[2, 8] = -1.0
+        with pytest.raises(InputError, match="symmetric"):
+            laplacians(a)
+        a[1, 7] = 1.0
+        a[4] = a[:, 4] = 0.0
+        with pytest.raises(InputError, match="nonnegative"):
+            laplacians(a)
+        a[8, 2] = a[2, 8] = 1.0
+        with pytest.raises(IsolatedNodeError, match="node 4"):
+            laplacians(a)
 
 
 def _reference_hamiltonian(a):
@@ -237,11 +260,46 @@ def test_laplacians_tiled_symmetry_check_sees_every_tile(monkeypatch):
             laplacians(a)
 
 
+GRAPH_POINTS = {
+    "random": np.random.default_rng(11).normal(size=(53, 2)),
+    "d9": np.random.default_rng(12).normal(size=(41, 9)) * np.geomspace(0.5, 2e3, 9),
+    "duplicates": np.repeat(np.random.default_rng(13).normal(size=(18, 3)), 3, axis=0),
+}
+
+
+@pytest.mark.parametrize("tile_rows", [2, 7])
+@pytest.mark.parametrize("points", GRAPH_POINTS.values(), ids=GRAPH_POINTS.keys())
+def test_graph_stages_and_transport_matrix_are_bitwise_equal_at_any_worker_count(monkeypatch, points, tile_rows):
+    # m = 53, 41 and 54 rows in tiles of 2 or 7 rows and square tiles of side 10-19: no m is a multiple
+    monkeypatch.setattr(graph_module, "_tile_rows", lambda m: tile_rows)
+    matrices = []
+    monkeypatch.setattr(transport, "_ldlt_in_place", lambda a: matrices.append(a.copy()))
+
+    def stages():
+        dist = pairwise_distances(points)
+        adjacency = gaussian_adjacency(dist, quantile_proximity(dist, 0.2))
+        h = laplacians(adjacency).hamiltonian
+        solve_source(h, 0.3)(np.arange(0), 1)
+        return [dist, adjacency, h, matrices[-1]]
+
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(graph_module, "_worker_count", lambda: workers)
+        results[workers] = [x.tobytes() for x in stages()]
+    assert results[2] == results[1] and results[3] == results[1]
+    h = np.frombuffer(results[1][2]).reshape(len(points), -1)
+    a = h * 1j
+    a.flat[:: len(points) + 1] += 0.3
+    assert results[1][3] == a.tobytes()
+
+
 def test_gaussian_adjacency_in_place_is_bit_identical():
     rng = np.random.default_rng(8)
     dist = pairwise_distances(PointSet(rng.normal(size=(30, 3))))
     r_eps = quantile_proximity(dist, 0.3)
+    before = dist.copy()
     assert gaussian_adjacency(dist, r_eps).tobytes() == np.exp(-np.square(dist / r_eps)).tobytes()
+    assert dist.tobytes() == before.tobytes()
 
 
 def test_pointset_truth_length_checked():
@@ -260,8 +318,57 @@ def test_pairwise_distances_overflow_names_the_points():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pairwise_distances_overflow_in_a_later_tile_names_the_points(monkeypatch):
-    monkeypatch.setattr(graph_module, "_tile_rows", lambda m: 2)
-    x = np.zeros((7, 9))
-    x[4, 8], x[6, 8] = 8e153, -8e153
-    with pytest.raises(InputError, match="points 4 and 6 are too far apart"):
-        pairwise_distances(x)
+    # tiles of two rows: the pair (4, 6) overflows in a tile of its own, and the pair (6, 4) in a later
+    # one, which another worker may reach first
+    for workers, d in ((1, 9), (2, 2), (2, 9), (3, 2)):
+        monkeypatch.setattr(graph_module, "_worker_count", lambda: workers)
+        monkeypatch.setattr(graph_module, "_tile_rows", lambda m, d=d: 2 * (d if d >= 8 else 1))
+        x = np.zeros((7, d))
+        x[4, d - 1], x[6, d - 1] = 8e153, -8e153
+        with pytest.raises(InputError, match="points 4 and 6 are too far apart"):
+            pairwise_distances(x)
+
+
+def test_run_tiles_runs_each_tile_once_with_its_own_scratch_and_raises_the_first_failure(monkeypatch):
+    # more workers than cores, switching threads as often as the interpreter allows
+    monkeypatch.setattr(graph_module, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        hits = np.zeros(500, dtype=int)
+
+        def task(i, scratch):
+            scratch[:] = i
+            hits[i] += 1
+            assert (scratch == i).all()
+
+        graph_module._run_tiles(task, range(500), (3,))
+        assert (hits == 1).all()
+
+        def failing(i, _):
+            if i in (311, 97, 98):
+                raise ValueError(i)
+
+        with pytest.raises(ValueError, match="^97$"):
+            graph_module._run_tiles(failing, range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "64"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, None),
+        ({"OPENBLAS_NUM_THREADS": "two"}, None),
+    ],
+)
+def test_worker_count_follows_cpus_and_blas_threads(monkeypatch, env, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert graph_module._worker_count() == (expected or cpus)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qtclust import InputError, ParameterError
+from qtclust import graph as graph_module
 from qtclust import io as qio
 from qtclust.io import load_matrix_csv, save_matrix_csv
 
-from conftest import FLOAT_SPECIALS, matrix_csv_oracle
+from conftest import FLOAT_SPECIALS, consensus_oracle, matrix_csv_oracle
 
 
 def _special_matrix(rows, cols, seed=0):
@@ -49,6 +50,29 @@ def test_save_matrix_one_dimensional_is_one_row(tmp_path):
 def test_save_matrix_rejects_three_dimensional_input(tmp_path):
     with pytest.raises(InputError):
         save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("colliding_keys", [False, True])
+def test_levels_route_with_repeated_rows_matches_oracle_and_raises_after_earlier_rows(tmp_path, monkeypatch, colliding_keys):
+    if colliding_keys:
+        # every row gets the same key, so only the row comparisons tell repeated rows from others
+        monkeypatch.setattr(graph_module, "_key_weights", lambda n: np.zeros(n, dtype=np.uint64))
+    rng = np.random.default_rng(6)
+    omega = rng.integers(0, 3, size=(4, 7))[rng.integers(0, 4, size=30)]
+    matrix = consensus_oracle(omega)  # 30 x 30, entries k / 7, 4 distinct rows
+    path = tmp_path / "m.csv"
+    # one row per block, or two, or all
+    for bound in (1, 64, qio._WRITE_BLOCK):
+        monkeypatch.setattr(qio, "_WRITE_BLOCK", bound)
+        save_matrix_csv(path, matrix, levels=7)
+        assert path.read_bytes() == matrix_csv_oracle(matrix)
+    # the last row repeats an earlier one except for one entry just off the grid
+    monkeypatch.setattr(qio, "_WRITE_BLOCK", 30)
+    bad = matrix.copy()
+    bad[29, 3] = np.nextafter(bad[29, 3], 2.0)
+    with pytest.raises(ParameterError, match="k / 7"):
+        save_matrix_csv(path, bad, levels=7)
+    assert path.read_bytes() == matrix_csv_oracle(matrix[:29])
 
 
 @pytest.mark.parametrize("levels", [0, -3, 2.5])

@@ -86,7 +86,11 @@ def assert_same_bundle(a, b):
 
 def test_build_graph_reuses_given_distances(three_clouds):
     dist = pairwise_distances(three_clouds)
+    before = dist.copy()
     assert_same_bundle(build_graph(three_clouds, 0.1, dist=dist), build_graph(three_clouds, 0.1))
+    # eps_sweep hands the same distances to every bandwidth's build, which must only read them
+    assert_same_bundle(build_graph(three_clouds, 0.3, dist=dist), build_graph(three_clouds, 0.3))
+    assert dist.tobytes() == before.tobytes()
 
 
 def test_build_graph_explicit_bandwidth_equals_quantile(three_clouds):

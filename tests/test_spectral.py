@@ -3,6 +3,7 @@ import pytest
 
 from qtclust import (
     InputError,
+    LaplaceParams,
     ParameterError,
     PointSet,
     count_low_energy,
@@ -12,6 +13,8 @@ from qtclust import (
     gen_tetrahedron,
     build_graph,
     low_energies,
+    solve_source,
+    transport_source,
 )
 from qtclust import graph as graph_module
 from qtclust import spectral as spectral_module
@@ -192,7 +195,17 @@ def test_low_energies_small_cases_and_validation():
         low_energies(np.array([[1.0, 0.2], [0.4, 1.0]]), 1)
 
 
-@pytest.mark.parametrize("route", [eigendecompose, lambda h: low_energies(h, 3)], ids=["eigh", "lanczos"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        eigendecompose,
+        lambda h: low_energies(h, 3),
+        lambda h: solve_source(h, 0.5),
+        # checks H once for both of its stages
+        lambda h: transport_source(h, 2, LaplaceParams(rule="explicit", multiplier=0.5)),
+    ],
+    ids=["eigh", "lanczos", "solve", "transport_source"],
+)
 @pytest.mark.parametrize("tile_rows", [1, 3, 7])
 def test_tiled_symmetry_check_sees_every_entry(monkeypatch, tile_rows, route):
     # square tiles of side 3, 5 and 8 on an 11 x 11 matrix, so the last tile of each row is partial
