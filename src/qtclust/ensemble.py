@@ -191,15 +191,28 @@ def consensus_matrix(omega: np.ndarray, q: int) -> np.ndarray:
     integer that float32 holds exactly, in any summation order; adding the
     tiles into the float64 counts is exact too.  So the result equals the
     per-pair count divided by m' bit for bit.
+
+    The counts are expanded in place in the result's memory, so no second
+    m x m or g x m array is live.  The g x g counts fill its start and
+    spread to g x m a block of rows at a time, from the last block back:
+    counts row r ends by float (r + 1) g and spread row r starts at float
+    r m >= r g, so a block overwrites only counts rows from its own first
+    row on, which it or a later block has read already.  Groups are
+    numbered by their first rows in ascending order, so node i's group is
+    at most i: rows g and up take spread rows above row g, straight into
+    place, and the first g rows are filled from the last block back in the
+    same way.  Each block's temporary holds at most ``_BLOCK_BYTES``.
     """
     cols = _label_matrix(omega, q)
-    m_prime = cols.shape[1]
+    m, m_prime = cols.shape
     firsts, group = np.unique(_equal_rows(cols), return_inverse=True)
     g = firsts.size
     step = max(1, _BLOCK_BYTES // (4 * g))  # entries per row of a Y block, rows per product tile
     width = max(1, step // q)  # columns per Y block
     rows = np.arange(g)[:, None]
-    counts = np.zeros((g, g))
+    out = np.empty((m, m))
+    counts = out.reshape(-1)[: g * g].reshape(g, g)
+    counts[...] = 0.0
     for lo in range(0, m_prime, width):
         block = cols[firsts, lo : lo + width]
         y = np.zeros((g, q * block.shape[1]), dtype=np.float32)
@@ -207,4 +220,12 @@ def consensus_matrix(omega: np.ndarray, q: int) -> np.ndarray:
         for r in range(0, g, step):
             counts[r : r + step] += y[r : r + step] @ y.T
     counts /= m_prime
-    return np.take(np.take(counts, group, axis=1), group, axis=0)
+    tile = max(1, _BLOCK_BYTES // (8 * m))
+    spread = out[:g]
+    for lo in reversed(range(0, g, tile)):
+        spread[lo : lo + tile] = np.take(counts[lo : lo + tile], group, axis=1)
+    # "clip" never clips here; with the default mode np.take would buffer its whole output
+    np.take(spread, group[g:], axis=0, out=out[g:], mode="clip")
+    for lo in reversed(range(0, g, tile)):
+        spread[lo : lo + tile] = spread[group[lo : min(lo + tile, g)]]
+    return out

@@ -74,13 +74,19 @@ def pairwise_distances(points: PointSet | np.ndarray) -> np.ndarray:
     with the same bits at any count.  ``InputError`` naming two points whose
     squared distance overflows: the first such pair in row order.
     """
+    return _pairwise_distances(points)
+
+
+def _pairwise_distances(points: PointSet | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`pairwise_distances` written into ``out``, a C-contiguous m x m float array, when given."""
     x = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InputError("need at least two points in an m x d array")
     if not np.isfinite(x).all():
         raise InputError("points contain non-finite coordinates")
     m, d = x.shape
-    out = np.empty((m, m))
+    if out is None:
+        out = np.empty((m, m))
     # row tiles of about 1 MiB of output, or of (rows, m, d) scratch from 8 dimensions on.  The tile
     # moves the peak RSS through heap layout: on nonuniform sticks (m=900, d=2) a process that ran
     # the sticks benchmark peaked at 80.4-81.5 MiB, against 84.6-87.1 MiB with 16 MiB (rows, m, d)
@@ -128,19 +134,39 @@ def _sq_dist(x: np.ndarray, centers: np.ndarray, out=None, scratch=None) -> np.n
 
 def quantile_proximity(dist: np.ndarray, eps: float) -> float:
     """The eps-quantile (linear interpolation) of the positive pairwise distances."""
+    return _quantile_proximity(dist, eps)
+
+
+def _quantile_proximity(dist: np.ndarray, eps: float, scratch: np.ndarray | None = None) -> float:
+    """:func:`quantile_proximity`, with the positive distances above the diagonal gathered into ``scratch``.
+
+    ``scratch`` is a flat float array of at least m (m - 1) / 2 entries,
+    allocated when not given, and is left partitioned.  The distances are
+    gathered a row tile at a time in row order, so the quantile sees the
+    array ``dist[triu & (dist > 0)]`` would give, bit for bit, with no
+    m x m mask and no index array.
+    """
     if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie strictly between 0 and 1, got {eps!r}")
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError("distance matrix must be square")
     m = d.shape[0]
-    # positive entries above the diagonal: a boolean mask takes m^2 bytes, triangle index arrays 8 m^2
-    mask = d > 0.0
-    mask &= np.arange(m)[:, None] < np.arange(m)[None, :]
-    positive = d[mask]
-    if positive.size == 0:
+    if scratch is None:
+        scratch = np.empty(m * (m - 1) // 2)
+    count = 0
+    step = _tile_rows(m)
+    for lo in range(0, m - 1, step):
+        # row lo + r of the tile keeps columns r and up of its part right of column lo
+        block = d[lo : lo + step, lo + 1 :]
+        keep = np.greater(block, 0.0)
+        keep &= ~np.tri(*block.shape, -1, dtype=bool)
+        positive = block[keep]
+        scratch[count : count + positive.size] = positive
+        count += positive.size
+    if count == 0:
         raise InputError("all pairwise distances are zero; no proximity scale exists")
-    return float(np.quantile(positive, eps, overwrite_input=True))
+    return float(np.quantile(scratch[:count], eps, overwrite_input=True))
 
 
 def gaussian_adjacency(dist: np.ndarray, r_eps: float) -> np.ndarray:
@@ -149,12 +175,17 @@ def gaussian_adjacency(dist: np.ndarray, r_eps: float) -> np.ndarray:
     A new m x m array, built a row tile at a time on ``_worker_count()``
     threads; ``dist`` is only read.
     """
+    return _gaussian_adjacency(dist, r_eps)
+
+
+def _gaussian_adjacency(dist: np.ndarray, r_eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`gaussian_adjacency` written into ``out`` when given; ``out`` may be ``dist`` itself."""
     if not (np.isfinite(r_eps) and r_eps > 0.0):
         raise ParameterError(f"proximity scale must be a positive finite number, got {r_eps!r}")
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2:
         raise InputError("distance matrix must be two-dimensional")
-    a = np.empty(d.shape)
+    a = np.empty(d.shape) if out is None else out
     step = _tile_rows(d.shape[1])
 
     def tile(lo, _):
@@ -180,6 +211,11 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
     (H' + H'^T) / 2 bit for bit, H' = I - D^-1/2 A D^-1/2 formed entry by
     entry, at any thread count.
     """
+    return GraphBundle(hamiltonian=_laplacians(adjacency), proximity=float(proximity))
+
+
+def _laplacians(adjacency: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The H of :func:`laplacians`, written into ``out``, an m x m float array apart from A, when given."""
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("adjacency must be square")
@@ -206,7 +242,7 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
         bad = int(np.nonzero(degrees <= 0.0)[0][0])
         raise IsolatedNodeError(f"node {bad} has zero degree and cannot be normalized")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    hamiltonian = np.empty((m, m))
+    hamiltonian = np.empty((m, m)) if out is None else out
     side = _tile_side(m)
 
     def build(pair, scratch):
@@ -227,7 +263,7 @@ def laplacians(adjacency: np.ndarray, proximity: float = math.nan) -> GraphBundl
         hamiltonian[cols, rows] = mean.T
 
     _run_tiles(build, _tile_pairs(m, side), (side, side))
-    return GraphBundle(hamiltonian=hamiltonian, proximity=float(proximity))
+    return hamiltonian
 
 
 def _tile_rows(m: int) -> int:

@@ -8,9 +8,20 @@ import numpy as np
 
 from .ensemble import PartitionTally, consensus_matrix, majority_partition, run_qtc, start_count
 from .errors import ParameterError
-from .graph import GraphBundle, PointSet, gaussian_adjacency, laplacians, pairwise_distances, quantile_proximity
+from .graph import (
+    GraphBundle,
+    PointSet,
+    _gaussian_adjacency,
+    _laplacians,
+    _pairwise_distances,
+    _quantile_proximity,
+    gaussian_adjacency,
+    laplacians,
+    pairwise_distances,
+    quantile_proximity,
+)
 from .spectral import GapReport, _low_energies, _symmetric_matrix, gap_stats
-from .transport import LaplaceParams, _solve_source, select_s
+from .transport import LaplaceParams, _buffer_holding, _halves, _solve_source, select_s
 
 SUMMARIES = ("majority", "consensus", "both")
 
@@ -19,7 +30,7 @@ SUMMARIES = ("majority", "consensus", "both")
 class QTCResult:
     """What one clustering run produced, with its start nodes and bandwidth ``r_eps``.
 
-    H is freed before the ensemble runs; neither H nor the factors of sI + iH are kept.
+    A overwrites H in one buffer; neither H nor the factors of sI + iH are kept.
     """
 
     labels: np.ndarray | None
@@ -58,27 +69,42 @@ def transport_source(hamiltonian: np.ndarray, q: int, laplace: LaplaceParams):
     q; s comes from the gap rule (:func:`select_s`); and ``amplitudes``, an
     amplitude source for :func:`run_qtc`, solves A psi = e_j by one in-place
     block LDL^T of the complex symmetric A = sI + iH (:func:`solve_source`).
-    The source keeps A and not H.  H is checked once here, for both the
-    energies and the solve.  A single start node j is the one-column case:
-    ``next(amplitudes(np.array([j]), 1))[:, 0]``.
+    H is checked once here, for both the energies and the solve, and copied
+    into one complex buffer, where A overwrites H; the source keeps that
+    buffer and not the caller's H.  A single start node j is the one-column
+    case: ``next(amplitudes(np.array([j]), 1))[:, 0]``.
     """
-    h = _symmetric_matrix(hamiltonian)
-    q = max(q, 2)
-    gaps = gap_stats(_low_energies(h, min(q + 1, len(h))), q)
-    s = select_s(gaps, laplace)
-    return gaps, s, _solve_source(h, s)
+    return _transport(_buffer_holding(_symmetric_matrix(hamiltonian)), q, laplace)
 
 
 def amplitude_source(points: PointSet, eps: float, q: int, laplace: LaplaceParams):
     """Bandwidth, gap report, damping rate and amplitude source of a point set.
 
-    Returns ``(r_eps, gaps, s, amplitudes)``: the graph is built here
-    (:func:`build_graph` with ``eps``) and the rest comes from
-    :func:`transport_source`, so H is freed when this returns, before the
-    amplitude source factors A.
+    Returns ``(r_eps, gaps, s, amplitudes)``, the bandwidth and the graph of
+    :func:`build_graph` with ``eps`` and the rest of :func:`transport_source`,
+    with the same bits, but A overwrites H in one buffer: one complex m x m
+    array goes from the distances to the LDL^T factors.  Its first float
+    half holds the distances, then the adjacency in place; its second half
+    is the quantile's scratch, then holds H, which Lanczos and the gap rule
+    read and the amplitude source expands into A = sI + iH.  The graph
+    stages build H exactly symmetric and finite, so it is not checked again.
     """
-    graph = build_graph(points, eps)
-    return (graph.proximity, *transport_source(graph.hamiltonian, q, laplace))
+    a = np.empty((points.m, points.m), dtype=complex)
+    work, h = _halves(a)
+    _pairwise_distances(points, out=work)
+    r_eps = _quantile_proximity(work, eps, scratch=h.reshape(-1))
+    _gaussian_adjacency(work, r_eps, out=work)
+    _laplacians(work, out=h)
+    return (r_eps, *_transport(a, q, laplace))
+
+
+def _transport(a: np.ndarray, q: int, laplace: LaplaceParams):
+    """:func:`transport_source` of the buffer ``a`` whose second half (``transport._halves``) holds a checked H."""
+    h = _halves(a)[1]
+    q = max(q, 2)
+    gaps = gap_stats(_low_energies(h, min(q + 1, len(h))), q)
+    s = select_s(gaps, laplace)
+    return gaps, s, _solve_source(a, s)
 
 
 def qtc(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, NumericError, ParameterError
-from .graph import _run_tiles, _tile_rows
+from .graph import _tile_rows
 from .spectral import GapReport, _symmetric_matrix
 
 UNDERFLOW_FLOOR = 1e-300
@@ -57,8 +57,8 @@ def solve_source(hamiltonian: np.ndarray, s: float):
     otherwise), because the factorization reads one triangle of A = s I + i H,
     and is meant to be positive semidefinite, as a normalized Laplacian is:
     the factorization does not pivot (see :func:`_ldlt_in_place`).
-    A is built here and H is not kept, so H can be freed before the solve
-    (:func:`pipeline.amplitude_source` frees it on return).  The source may
+    H is copied into one complex m x m buffer, in which A overwrites H
+    (:func:`_solve_source`); the caller's H is not kept.  The source may
     be called once: ``source(init_nodes, width)`` factors A in place
     (:func:`_ldlt_in_place`) and returns an iterator over the amplitudes of
     the blocks of at most ``width`` start nodes.  It solves A psi = E, one
@@ -68,24 +68,44 @@ def solve_source(hamiltonian: np.ndarray, s: float):
     with the iterator.  A second call raises ``ParameterError``, and a chunk
     with a non-finite amplitude ``NumericError``.
     """
-    return _solve_source(_symmetric_matrix(hamiltonian), s)
+    return _solve_source(_buffer_holding(_symmetric_matrix(hamiltonian)), s)
 
 
-def _solve_source(h: np.ndarray, s: float):
-    """:func:`solve_source` of an H that ``_symmetric_matrix`` has already checked.
+def _halves(a: np.ndarray):
+    """The first and the second float64 m x m half of the C-contiguous complex m x m buffer ``a``.
 
-    A = s I + i H is built a row tile at a time on ``_worker_count()``
-    threads, with the bits of ``h * 1j`` at any count.
+    H goes into the second half, where :func:`_solve_source` expands it
+    into A = s I + i H; until then the first half is free for scratch.
+    """
+    m = a.shape[0]
+    flat = a.reshape(-1).view(float)
+    return flat[: m * m].reshape(m, m), flat[m * m :].reshape(m, m)
+
+
+def _buffer_holding(h: np.ndarray) -> np.ndarray:
+    """A new complex m x m buffer whose second half (:func:`_halves`) holds a copy of the m x m H."""
+    a = np.empty(h.shape, dtype=complex)
+    _halves(a)[1][...] = h
+    return a
+
+
+def _solve_source(a: np.ndarray, s: float):
+    """:func:`solve_source` of the buffer ``a`` whose second half (:func:`_halves`) holds a checked H.
+
+    A = s I + i H overwrites H in ``a``, with the bits of ``h * 1j``, one
+    ascending row tile at a time.  Row tile [lo, hi) of A ends at float
+    2 m hi <= m^2 + m hi, where the rows of H not yet read begin, so a tile
+    overwrites only rows of H already read, and its own, which numpy's
+    ufunc overlap handling copies before it writes (the last tiles).  A
+    worker thread writing a later tile could overwrite rows another worker
+    has not read, so the tiles run on the calling thread.
     """
     _check_s(s)
-    m = h.shape[0]
-    a = np.empty((m, m), dtype=complex)
+    m = a.shape[0]
+    h = _halves(a)[1]
     step = _tile_rows(m)
-
-    def tile(lo, _):
+    for lo in range(0, m, step):
         np.multiply(h[lo : lo + step], 1j, out=a[lo : lo + step])
-
-    _run_tiles(tile, range(0, m, step))
     a.flat[:: m + 1] += s
 
     def blocks(init_nodes, width):

@@ -1,12 +1,14 @@
+import contextlib
 import itertools
 import math
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from qtclust import PointSet, cli, eigendecompose, build_graph, pipeline
+from qtclust import PointSet, cli, eigendecompose, build_graph
 from qtclust.kernels import DEGENERACY_TOL, LN2, _degenerate_groups
 
 try:
@@ -47,10 +49,7 @@ def random_geometric_graph(seed, m, d=2, eps=None, pieces=1):
 
 @pytest.fixture
 def hamiltonian_refs(monkeypatch):
-    """Weak references to the H of every graph that ``pipeline.build_graph`` builds, in call order.
-
-    The spy replaces ``build_graph`` in ``pipeline`` and in ``cli``, the modules that call it.
-    """
+    """Weak references to the H of every graph that ``cli`` builds with ``build_graph``, in call order."""
     refs = []
 
     def build_graph_spy(*args, **kwargs):
@@ -58,9 +57,33 @@ def hamiltonian_refs(monkeypatch):
         refs.append(weakref.ref(graph.hamiltonian))
         return graph
 
-    monkeypatch.setattr(pipeline, "build_graph", build_graph_spy)
     monkeypatch.setattr(cli, "build_graph", build_graph_spy)
     return refs
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace the allocations of the block; yields ``peak()``, the traced peak in bytes above the block's start.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts
+    every array the block holds at once.  ``peak()`` may be called inside
+    the block, for the peak so far, and keeps its last value after it.
+    """
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    last = [0]
+
+    def peak():
+        if tracemalloc.is_tracing():
+            last[0] = tracemalloc.get_traced_memory()[1] - start
+        return last[0]
+
+    try:
+        yield peak
+    finally:
+        peak()
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from qtclust import (
     pipeline,
     select_s,
     transition_kernel,
+    transport,
 )
 from qtclust.io import save_points_csv
 
@@ -202,7 +203,9 @@ def test_cluster_labels_match_the_spectral_sum(tmp_path, monkeypatch, clouds_csv
     artifacts = {}
     for route in ("solve", "sum"):
         if route == "sum":
-            monkeypatch.setattr(pipeline, "_solve_source", lambda h, s: spectral_source(eigendecompose(h), s))
+            monkeypatch.setattr(
+                pipeline, "_solve_source", lambda a, s: spectral_source(eigendecompose(transport._halves(a)[1]), s)
+            )
         out = tmp_path / route
         assert main(["cluster", "--input", str(clouds_csv), "--eps", "0.1", "--q", "3", "--out", str(out)]) == 0
         artifacts[route] = [(out / name).read_bytes() for name in ("labels.csv", "consensus.csv")]

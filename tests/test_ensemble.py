@@ -20,7 +20,7 @@ from qtclust import (
     transport_source,
 )
 
-from conftest import consensus_oracle, pairwise_grouping, permutation_equivalent
+from conftest import consensus_oracle, pairwise_grouping, permutation_equivalent, traced_peak
 
 
 def test_equivalent_simple_cases():
@@ -122,6 +122,27 @@ def test_consensus_matches_triple_loop_exactly(monkeypatch):
     monkeypatch.setattr(graph_module, "_key_weights", lambda n: np.zeros(n, dtype=np.uint64))
     for omega_arr in CONSENSUS_OMEGAS.values():
         assert consensus_matrix(omega_arr, 3).tobytes() == consensus_oracle(omega_arr).tobytes()
+    # the counts expanded in place a block of one row and of 7 rows at a time, from the last block back
+    for rows in (1, 7):
+        for omega_arr in CONSENSUS_OMEGAS.values():
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 8 * len(omega_arr) * rows)
+            assert consensus_matrix(omega_arr, 3).tobytes() == consensus_oracle(omega_arr).tobytes()
+
+
+def test_consensus_at_every_start_node_holds_one_m_by_m_array(monkeypatch):
+    # m' = m = 800 with every row distinct, so g = m: the counts fill the result and are expanded there, where
+    # g x g counts, a g x m gather and the result held 24 m^2 bytes at once
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 1 << 18)
+    m = 800
+    omega_arr = np.random.default_rng(5).integers(0, 3, size=(m, m))
+    with traced_peak() as peak:
+        got = consensus_matrix(omega_arr, 3)
+    assert np.unique(omega_arr, axis=0).shape[0] == m
+    # a Y block, its product tile, the labels and the expansion each within the budget; ~1 MiB blocks of
+    # row comparisons in graph._equal_rows
+    assert peak() <= 8 * m * m + 4 * ensemble._BLOCK_BYTES + (2 << 20)
+    for rows in (slice(0, 40), slice(m - 40, m)):
+        assert got[rows, rows].tobytes() == consensus_oracle(omega_arr[rows]).tobytes()
 
 
 def test_consensus_exact_over_thousands_of_columns_in_one_block():

@@ -99,6 +99,7 @@ def test_quantile_matches_sorting_oracle():
 
 
 def _triu_quantile_oracle(dist, eps):
+    """``np.quantile`` of ``dist[triu & (dist > 0)]``, the positive distances above the diagonal in row order."""
     upper = dist[np.triu_indices(dist.shape[0], k=1)]
     return float(np.quantile(upper[upper > 0.0], eps))
 
@@ -111,10 +112,17 @@ def _triu_quantile_oracle(dist, eps):
         np.repeat(np.random.default_rng(9).normal(size=(15, 2)), 3, axis=0),  # duplicate points: zero distances
     ],
 )
-def test_quantile_matches_triu_indices_formula_exactly(points):
+def test_quantile_matches_triu_indices_formula_exactly(monkeypatch, points):
     dist = pairwise_distances(PointSet(points))
-    for eps in (0.01, 0.1, 0.3, 0.5, 0.77, 0.99):
-        assert quantile_proximity(dist, eps) == _triu_quantile_oracle(dist, eps)
+    before = dist.copy()
+    # the gather in one tile, in tiles of one row, and in tiles of 7 rows with a ragged last tile
+    for tile_rows in (None, 1, 7):
+        if tile_rows is not None:
+            monkeypatch.setattr(graph_module, "_tile_rows", lambda m, rows=tile_rows: rows)
+        for eps in (0.01, 0.1, 0.3, 0.5, 0.77, 0.99):
+            got = np.float64(quantile_proximity(dist, eps))
+            assert got.tobytes() == np.float64(_triu_quantile_oracle(dist, eps)).tobytes()
+    assert dist.tobytes() == before.tobytes()
 
 
 def test_quantile_parameter_validation():

@@ -1,12 +1,14 @@
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from qtclust import ensemble, experiments, pipeline, spectral, transport
+from qtclust import ensemble, experiments, graph, pipeline, spectral, transport
 from qtclust import (
     LaplaceParams,
     ParameterError,
+    amplitude_source,
     ari,
     build_graph,
     eigendecompose,
@@ -19,6 +21,8 @@ from qtclust import (
     select_s,
     spectral_cluster,
 )
+
+from conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -138,34 +142,73 @@ def test_gap_report_does_not_depend_on_the_route():
     assert solved.gaps.next_ratio == pytest.approx(summed.next_ratio, rel=1e-8, abs=0)
 
 
-@pytest.mark.parametrize("m_prime", [30, 180], ids=["solve", "solve_every_node"])
-def test_h_is_freed_before_the_ensemble_runs(monkeypatch, hamiltonian_refs, three_clouds, m_prime):
-    h_alive_at_run = []
-    real_run = pipeline.run_qtc
-
-    def run_qtc_spy(*args, **kwargs):
-        h_alive_at_run.append(hamiltonian_refs[-1]() is not None)
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "run_qtc", run_qtc_spy)
-    qtc(three_clouds, eps=0.1, q=3, m_prime=m_prime, seed=0, summary="majority")
-    assert h_alive_at_run == [False]
+@pytest.fixture(scope="module")
+def clouds_1200():
+    """1200 nodes: a second H, the 8 m^2 bytes (11 MiB) of a two-array route, outweighs the scratch terms of the bounds."""
+    return gen_gaussian_clouds([(0.0, 0.0), (0.6, 0.0), (0.3, 0.52)], 0.1, 400, seed=1)
 
 
-def test_solve_route_factors_once_after_h_is_freed(monkeypatch, hamiltonian_refs, three_clouds):
-    h_alive_at_factor = []
+@pytest.fixture(scope="module")
+def lanczos_bytes(clouds_1200):
+    """The traced peak of the Lanczos run of ``amplitude_source`` at q = 3 on its own: basis, images and their scratch."""
+    h = build_graph(clouds_1200, 0.1).hamiltonian
+    with traced_peak() as peak:
+        spectral._low_energies(h, 4)
+    return peak()
+
+
+def tile_bytes():
+    """Tile scratch: about 1 MiB per graph worker, plus one tile of temporaries."""
+    return (graph._worker_count() + 1) << 20
+
+
+def ldlt_bytes(m, width):
+    """One LDL^T block column's GEMM product, D, its mirror and its inverse, and the first solved chunk with its GEMM scratch."""
+    b = transport._LDLT_BLOCK
+    chunk = max(width, b // width * width)
+    return 16 * (m + 3 * b) * b + 16 * (m + b) * chunk
+
+
+@pytest.mark.parametrize("m_prime", [30, 1200], ids=["solve", "solve_every_node"])
+def test_h_is_freed_before_the_ensemble_runs(monkeypatch, clouds_1200, lanczos_bytes, m_prime):
+    # A overwrites H in one 16 m^2 buffer: amplitude_source and the first block the ensemble draws hold that
+    # buffer plus the scratch of a stage, never H beside A; block columns of 32 keep the LDL^T's scratch small
+    monkeypatch.setattr(transport, "_LDLT_BLOCK", 32)
+    m = clouds_1200.m
+    width = ensemble._block_width(m)
+    buffer_and_lanczos = 16 * m * m + lanczos_bytes + tile_bytes()
+    init = np.random.default_rng(0).choice(m, size=m_prime, replace=False)
+    with traced_peak() as peak:
+        *_, source = amplitude_source(clouds_1200, 0.1, 3, LaplaceParams())
+        before_factor = peak()
+        first = next(source(init, width))
+    assert first.shape == (m, width)
+    assert before_factor <= buffer_and_lanczos
+    assert peak() <= buffer_and_lanczos + ldlt_bytes(m, width)
+
+
+def test_solve_route_factors_once_after_h_is_freed(monkeypatch, clouds_1200, lanczos_bytes):
+    # one factorization, of the one buffer: up to it no stage's scratch outlives the stage, and at it the buffer
+    # is all that is held, with no H, adjacency or distances beside it
+    m = clouds_1200.m
+    buffer_and_lanczos = 16 * m * m + lanczos_bytes + tile_bytes()
+    at_factor = []
     real_factor = transport._ldlt_in_place
 
     def factor_spy(a):
-        h_alive_at_factor.append(hamiltonian_refs[-1]() is not None)
+        at_factor.append((peak(), tracemalloc.get_traced_memory()[0]))
         real_factor(a)
 
     monkeypatch.setattr(transport, "_ldlt_in_place", factor_spy)
     # four start nodes per block, so the 30 start nodes span eight blocks
-    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * three_clouds.m * 4)
-    first = qtc(three_clouds, eps=0.1, q=3, m_prime=30, seed=2)
-    assert h_alive_at_factor == [False]
-    second = qtc(three_clouds, eps=0.1, q=3, m_prime=30, seed=2)
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 128 * m * 4)
+    with traced_peak() as peak:
+        first = qtc(clouds_1200, eps=0.1, q=3, m_prime=30, seed=2)
+    [(peak_at_factor, held_at_factor)] = at_factor
+    assert peak_at_factor <= buffer_and_lanczos
+    assert 16 * m * m <= held_at_factor <= 16 * m * m + tile_bytes()
+    second = qtc(clouds_1200, eps=0.1, q=3, m_prime=30, seed=2)
+    assert len(at_factor) == 2
     assert first.s == second.s
     assert np.array_equal(first.labels, second.labels)
     assert np.array_equal(first.consensus, second.consensus)
