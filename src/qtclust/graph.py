@@ -331,7 +331,7 @@ def _worker_count() -> int:
         count = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         count = os.cpu_count() or 1
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) >= 1:
             count = min(count, int(value))

@@ -10,7 +10,6 @@ and at 2 threads compute matrices that differ in the last bits.
 from __future__ import annotations
 
 import csv
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,10 +18,8 @@ from .errors import InputError, ParameterError
 from .graph import PointSet, _equal_rows
 
 _FMT = "%.17g"
-# entries per block of rows in save_matrix_csv, and per tile (about 45 x 45) of its mirror route.  The
-# block sets the writer's scratch, about 0.25 KiB per distinct value, which the allocator keeps resident
-# after the write; at m=600 the JSD kernel's memory peak rose 2 MiB with 8192-entry blocks and 0.3 MiB
-# with 2048.
+# entries per block of rows in save_matrix_csv.  The block sets the writer's scratch, about 0.5 KiB per
+# entry (the formatter's float, index and byte arrays), which the allocator keeps resident after the write.
 _WRITE_BLOCK = 1 << 11
 _INT64 = np.iinfo(np.int64)
 
@@ -125,22 +122,17 @@ def _int64_cell(cell: str, path, line: int) -> int:
 def save_matrix_csv(path, matrix: np.ndarray, levels: int | None = None) -> None:
     """Plain numeric grid, row-major, no header.
 
-    Each row is ``",".join(_FMT % v for v in row)`` plus a newline, and every
-    value is formatted by lookup in a table of formatted values.  By default
-    each table holds the distinct values of a block of about ``_WRITE_BLOCK``
-    entries, found by ``np.unique`` and formatted once.  A square matrix that
-    equals its transpose bit for bit (compared in blocks of rows, with no
-    m x m temporary) is formatted only from the diagonal rightwards: the text
-    of an entry left of the diagonal is the text of its mirror entry, which
-    waits until its row is written (see ``_write_mirrored``).  Other matrices
-    go out in blocks of whole rows.  A caller that knows every entry is
-    k / ``levels`` for an integer k in [0, levels], as a consensus matrix of
-    ``levels`` start nodes is, passes ``levels``, and its rows go out by
-    ``_write_levels``: the levels + 1 values are formatted once for the
-    whole file, each entry's k is recovered by rounding, with no sort, and a
-    row is checked and formatted only the first time its bits appear.  An
-    entry that is not k / levels bit for bit, NaN included, raises
-    ``ParameterError`` once the rows of the blocks before it are written.
+    Each row is ``",".join(_FMT % v for v in row)`` plus a newline.  The rows
+    go out in blocks of about ``_WRITE_BLOCK`` entries, each formatted at
+    once by ``_csv_bytes`` and written with one call.  A caller that knows
+    every entry is k / ``levels`` for an integer k in [0, levels], as a
+    consensus matrix of ``levels`` start nodes is, passes ``levels``, and its
+    rows go out by ``_write_levels``: the levels + 1 values are formatted
+    once for the whole file, each entry's k is recovered by rounding, with
+    no sort, and a row is checked and formatted only the first time its bits
+    appear.  An entry that is not k / levels bit for bit, NaN included,
+    raises ``ParameterError`` once the rows of the blocks before it are
+    written.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     if arr.ndim != 2:
@@ -153,12 +145,189 @@ def save_matrix_csv(path, matrix: np.ndarray, levels: int | None = None) -> None
             fh.write("\n" * arr.shape[0])
         elif levels is not None:
             _write_levels(fh, arr, levels)
-        elif _bitwise_symmetric(arr):
-            _write_mirrored(fh, arr)
         else:
             step = max(1, _WRITE_BLOCK // n)
             for lo in range(0, arr.shape[0], step):
-                fh.write("".join(_row_cells(*_distinct_cells(np.ascontiguousarray(arr[lo : lo + step])))))
+                fh.buffer.write(_csv_bytes(arr[lo : lo + step]))
+
+
+def _csv_bytes(block: np.ndarray) -> np.ndarray:
+    """The CSV text of the 2-D ``block`` as uint8: ``_FMT % v`` per entry, "," between cells and "\\n" after each row.
+
+    Zeros, infinities and NaNs take fixed strings.  An entry v with
+    1e-280 <= |v| <= 1e280 is formatted without ``%``, as ``%.17g`` does:
+    with X the decimal exponent of |v| and D the 17-digit integer
+    |v| 10^(16-X) rounded half to even, the digits of D lose their trailing
+    zeros and go out in fixed notation for -4 <= X < 17 and as
+    ``d.ddde±XX`` otherwise.
+
+    - X starts as floor(log10 |v|).  ``_scaled`` forms y = |v| 10^(16-X) as
+      a rounded head plus a tail, within E of y; where head + tail lies
+      outside [1e16, 1e17), X moves by one and y is formed again.
+    - D is head + rint(tail).  The head is an even integer (it is above
+      2^53), so rounding the tail half to even rounds y half to even.
+    - This X and D are taken only where y - 1e16 and y's distance to the
+      nearest tie (a half-integer) are at least the margin and
+      1e17 - 1/2 - y is above it, which keeps D below 1e17.  Where
+      10^(16-X) is a float (X in [-6, 16]) head + tail is y exactly and the
+      margin is 0, so powers of ten and exact ties are decided too.
+      Elsewhere the margin is ``_MARGIN``, far above E < 5e-15: head + p is
+      |v| hi exactly (Dekker's product, 10^k = hi + lo + e), |p| <= 8 (half
+      an ulp of a head below 1.4e17) and |v lo| <= 2^-53 y < 12, so rounding
+      v lo costs at most 2^-50, adding it to p at most 2^-49, and e, below
+      2^-106 10^k, at most 1.3e-15.
+
+    Every other entry goes to ``%``: subnormals, magnitudes outside that
+    range, y that the margin leaves undecided (about 2e-9 of uniform random
+    values), and y within 1/2 below 1e17, whose 17 digits carry into the
+    next decade.  Each cell is gathered byte by byte from its 36-byte source
+    row by the template of its layout, digit count and sign in
+    ``_TEMPLATES``, padded with NUL bytes that one compress removes.
+    """
+    v = np.ascontiguousarray(block).reshape(-1)
+    mag = np.abs(v)
+    regular = (mag >= 1e-280) & (mag <= 1e280)
+    mag[~regular] = 1.0
+    x = np.floor(np.log10(mag)).astype(np.intp)
+    head, tail = _scaled(mag, x)
+    # head + tail, not the rounded head alone, against the decade
+    low = (head < 1e16) | ((head == 1e16) & (tail < 0.0))
+    high = (head > 1e17) | ((head == 1e17) & (tail >= 0.0))
+    shift = low.view(np.int8) - high.view(np.int8)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        x[moved] -= shift[moved]
+        head[moved], tail[moved] = _scaled(mag[moved], x[moved])
+    margin = _POW_MARGIN.take(16 - _POW_MIN - x)
+    whole = np.rint(tail)
+    top = head.astype(np.int64)
+    decided = (
+        regular
+        & ((top - _E16) + tail >= margin)
+        & ((_E17 - top) - tail > 0.5 + margin)
+        & (0.5 - np.abs(tail - whole) >= margin)
+    )
+    digits = top + whole.astype(np.int64)
+    upper, lower = np.divmod(digits, 10**8)
+    first, upper = np.divmod(upper, 10**8)
+    groups = (first, *np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    # trailing zeros of D, from its last 4-digit group back
+    zeros = _ZEROS4.take(groups[4]).astype(np.intp)
+    pending = np.flatnonzero(groups[4] == 0)
+    for group in groups[3::-1]:
+        group = group[pending]
+        zeros[pending] += _ZEROS4.take(group)
+        pending = pending[group == 0]
+    key = _LAYOUT.take(x - _POW_MIN) * 34 + (16 - zeros) * 2 + np.signbit(v)
+    odd = np.flatnonzero(~decided)
+    values = v[odd]
+    layout = np.select([values == 0.0, np.isinf(values), np.isnan(values)], [22, 23, 24], 25)
+    key[odd] = layout * 34 + np.signbit(values)
+    fallback = odd[layout == 25]
+    cells = v.size
+    n = block.shape[1]
+    source = np.empty((cells, 9), dtype=np.uint32)
+    for col, group in enumerate(groups):
+        source[:, col] = _DIGITS4.take(group)
+    source[:, 5:] = _SOURCE_TAIL
+    source[:, 6] = _EXPONENTS.take(x - _POW_MIN)
+    source[n - 1 :: n, 7] = _ROW_END
+    index = _TEMPLATES.take(key, axis=0) + np.arange(0, 36 * cells, 36)[:, None]
+    out = source.view(np.uint8).reshape(-1).take(index)
+    ends = (fallback % n == n - 1).tolist()
+    texts = [(_FMT % value + ("\n" if end else ",")).ljust(_CELL_WIDTH, "\0") for value, end in zip(v[fallback].tolist(), ends)]
+    out[fallback] = np.frombuffer("".join(texts).encode(), dtype=np.uint8).reshape(-1, _CELL_WIDTH)
+    return out[out != 0]
+
+
+def _scaled(mag: np.ndarray, x: np.ndarray) -> tuple:
+    """``mag * 10^(16 - x)`` as a rounded head and a tail; see ``_csv_bytes`` for the error bound."""
+    i = 16 - _POW_MIN - x
+    hi, hi_top, hi_low, lo = _POW_HI.take(i), _POW_HI_TOP.take(i), _POW_HI_LOW.take(i), _POW_LO.take(i)
+    top, low = _split(mag)
+    head = mag * hi
+    # Dekker's product: head + (the first sum) is mag * hi exactly
+    tail = ((top * hi_top - head) + top * hi_low + low * hi_top) + low * hi_low
+    return head, tail + mag * lo
+
+
+def _split(values: np.ndarray) -> tuple:
+    """Dekker's split of each value into two floats of at most 26 significant bits that sum to it."""
+    scaled = values * 134217729.0  # 2^27 + 1
+    top = scaled - (scaled - values)
+    return top, values - top
+
+
+def _powers_of_ten() -> tuple:
+    """10^k for k in [_POW_MIN, -_POW_MIN] as the float nearest it and the float nearest the rest.
+
+    Both come from exact integers: ``int / int`` is correctly rounded, and
+    ``as_integer_ratio`` gives the head's value exactly.
+    """
+    heads, tails = [], []
+    for k in range(_POW_MIN, 1 - _POW_MIN):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        head = num / den
+        p, q = head.as_integer_ratio()
+        heads.append(head)
+        tails.append((num * q - p * den) / (den * q))
+    return np.array(heads), np.array(tails)
+
+
+def _cell_templates() -> np.ndarray:
+    """The template of each key: for every output byte of a cell, its byte in the cell's source row.
+
+    Key = layout * 34 + (digits - 1) * 2 + sign.  Layouts 0-16 are fixed
+    notation with layout + 1 digits before the point, 17-20 are 0.ddd with
+    layout - 17 zeros after the point, 21 is d.ddde±XX, and 22-25 are zero,
+    infinity, NaN and a value for ``%``.  The source row holds D's digits
+    at bytes 3-19, "-0.e" at 20-23, the exponent at 24-27, the separator and
+    "inf" at 28-31 and "a" at 32; byte 33 is NUL.
+    """
+    digit = list(range(3, 20))
+    minus, zero, dot, exp, sep, nul = 20, 21, 22, 23, 28, 33
+    rows = bytearray()
+    for layout in range(26):
+        for count in range(1, 18):
+            for negative in (False, True):
+                sign = [minus] if negative else []
+                if layout <= 16:
+                    ip = layout + 1
+                    body = digit[:ip] + ([dot] + digit[ip:count] if count > ip else [])
+                elif layout <= 20:
+                    body = [zero, dot] + [zero] * (layout - 17) + digit[:count]
+                elif layout == 21:
+                    body = digit[:1] + ([dot] + digit[1:count] if count > 1 else []) + [exp, 24, 25, 26, 27]
+                elif layout == 22:
+                    body = [zero]
+                elif layout == 23:
+                    body = [29, 30, 31]
+                else:  # "nan" has no sign; the rows of layout 25 are written over
+                    sign, body = [], [30, 32, 30]
+                cell = sign + body + [sep]
+                rows += bytes(cell + [nul] * (_CELL_WIDTH - len(cell)))
+    return np.frombuffer(rows, dtype=np.uint8).reshape(-1, _CELL_WIDTH)
+
+
+# bytes per cell, with its separator: "-4.9406564584124654e-324," is the longest
+_CELL_WIDTH = 25
+# 10^k for k in [_POW_MIN, -_POW_MIN]: head _POW_HI, split into _POW_HI_TOP + _POW_HI_LOW, and tail _POW_LO
+_POW_MIN = -300
+_POW_HI, _POW_LO = _powers_of_ten()
+_POW_HI_TOP, _POW_HI_LOW = _split(_POW_HI)
+# far above the scaled product's error bound; 0 where the product is exact
+_MARGIN = 1e-9
+_POW_MARGIN = np.where(_POW_LO == 0.0, 0.0, _MARGIN)
+_E16, _E17 = 10**16, 10**17
+# the four decimal digits of each g < 10^4, as ASCII in one uint32, and the number of them that trail as zeros
+_DIGITS4 = (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")).copy().view(np.uint32).reshape(-1)
+_ZEROS4 = sum(np.arange(10**4) % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
+_EXPONENTS = np.frombuffer(b"".join(f"{e:+03d}".encode().ljust(4, b"\0") for e in range(_POW_MIN, 1 - _POW_MIN)), dtype=np.uint32)
+# source bytes 20-35 of a cell (bytes 24-27, its exponent, are written per cell), and bytes 28-31 of a row's last cell
+_SOURCE_TAIL = np.frombuffer(b"-0.e\0\0\0\0,infa\0\0\0", dtype=np.uint32)
+_ROW_END = np.frombuffer(b"\ninf", dtype=np.uint32)[0]
+_LAYOUT = np.array([e if 0 <= e <= 16 else 16 - e if -4 <= e < 0 else 21 for e in range(_POW_MIN, 1 - _POW_MIN)], dtype=np.intp)
+_TEMPLATES = _cell_templates()
 
 
 def _row_cells(table: np.ndarray, index: np.ndarray) -> list:
@@ -195,68 +364,6 @@ def _write_levels(fh, arr: np.ndarray, levels: int) -> None:
             kept.update((i, "".join(cells[k * n : (k + 1) * n]).encode()) for k, i in enumerate(new))
         for i, first in enumerate(block, lo):
             out.write(kept[first] if last[first] > i else kept.pop(first))
-
-
-def _bitwise_symmetric(arr: np.ndarray) -> bool:
-    """Whether ``arr`` is square and equal to its transpose bit for bit, compared in blocks of rows."""
-    m = arr.shape[0]
-    if arr.shape[1] != m:
-        return False
-    bits = arr.view(np.int64)
-    step = max(1, _WRITE_BLOCK // m)
-    return all(np.array_equal(bits[lo : lo + step], bits[:, lo : lo + step].T) for lo in range(0, m, step))
-
-
-def _write_mirrored(fh, arr: np.ndarray) -> None:
-    """Write the bitwise symmetric ``arr``, formatting only the tiles on and right of the diagonal.
-
-    The m x m grid is cut into n x n tiles with sides m // n or m // n + 1,
-    n = ceil(m / sqrt(_WRITE_BLOCK)).  Band b (the rows of tiles (b, c))
-    formats its tiles from the diagonal rightwards, and their text goes out
-    row by row with the band's rows.  The text of a tile (b, c) right of the
-    diagonal is also kept column by column: its column j is the text that
-    row j repeats left of the diagonal, so it waits, as bytes, until band c
-    is written.  The waiting text peaks at the middle band at about m^2 / 4
-    cells.  The rows go to the file's binary buffer piece by piece, without
-    a copy.
-    """
-    m = arr.shape[0]
-    n = -(-m // max(1, math.isqrt(_WRITE_BLOCK)))
-    edges = [m * k // n for k in range(n + 1)]
-    out = fh.buffer
-    # waiting[c]: the column-by-column text of each tile (b, c) written so far
-    waiting = [[] for _ in range(n)]
-    for b in range(n):
-        rows = slice(edges[b], edges[b + 1])
-        pieces = waiting[b]
-        waiting[b] = None
-        for c in range(b, n):
-            table, index = _distinct_cells(arr[rows, edges[c] : edges[c + 1]])
-            lengths = np.fromiter(map(len, table), dtype=np.intp, count=table.size)
-            pieces.append(_tile_text(table, lengths, index))
-            if c > b:
-                waiting[c].append(_tile_text(table, lengths, index.T))
-        (*pieces, (last, last_ends)) = pieces
-        for i in range(rows.stop - rows.start):
-            for text, ends in pieces:
-                out.write(text[ends[i] : ends[i + 1]])
-            # the row's last cell trades its comma for the newline
-            out.write(last[last_ends[i] : last_ends[i + 1] - 1])
-            out.write(b"\n")
-
-
-def _tile_text(table: np.ndarray, lengths: np.ndarray, index: np.ndarray) -> tuple:
-    """The cells ``table[index]`` row after row as ASCII bytes, and the offsets where each row's text starts and ends."""
-    cells = index.reshape(-1)
-    ends = np.cumsum(lengths[cells])[index.shape[1] - 1 :: index.shape[1]]
-    return memoryview("".join(table[cells].tolist()).encode()), [0, *ends.tolist()]
-
-
-def _distinct_cells(block: np.ndarray) -> tuple:
-    """``_cell_table`` of the distinct values of ``block``, and each entry's index into it, in the shape of ``block``."""
-    # distinct values by bits: -0.0 stays apart from 0.0, and every NaN and inf is kept
-    keys, index = np.unique(block.view(np.int64), return_inverse=True)
-    return _cell_table(keys.view(np.float64)), index.reshape(block.shape)
 
 
 def _cell_table(values: np.ndarray) -> np.ndarray:

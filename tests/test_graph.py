@@ -371,10 +371,11 @@ def test_run_tiles_runs_each_tile_once_with_its_own_scratch_and_raises_the_first
         ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "64"}, 1),
         ({"OPENBLAS_NUM_THREADS": "0"}, None),
         ({"OPENBLAS_NUM_THREADS": "two"}, None),
+        ({"MKL_NUM_THREADS": "1"}, 1),
     ],
 )
 def test_worker_count_follows_cpus_and_blas_threads(monkeypatch, env, expected):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)

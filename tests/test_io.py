@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ def test_block_bound_does_not_change_bytes(tmp_path, monkeypatch, bound):
         "column": _special_matrix(40, 1, seed=2),
         "wide": _special_matrix(3, 50, seed=3),  # a row longer than the bound is written whole
         "fortran": np.asfortranarray(_special_matrix(17, 6, seed=4)),
-        # bitwise symmetric: the mirror route, in 2 x 2 tiles of 25 x 25 by default and in smaller ones at the bound
+        # bitwise symmetric, in Fortran order
         "symmetric_fortran": np.asfortranarray(_mirrored(_special_matrix(50, 50, seed=5))),
     }
     default = {}
@@ -100,6 +102,85 @@ def test_block_bound_does_not_change_bytes(tmp_path, monkeypatch, bound):
     for name, m in matrices.items():
         save_matrix_csv(tmp_path / f"{name}_{bound}.csv", m)
         assert (tmp_path / f"{name}_{bound}.csv").read_bytes() == default[name]
+
+
+def _neighbours(values, steps):
+    """``values`` and the floats up to ``steps`` ulps below and above each."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (0.0, np.inf):
+        current = out[0]
+        for _ in range(steps):
+            current = np.nextafter(current, direction)
+            out.append(current)
+    return np.concatenate(out)
+
+
+def _formatter_sweep():
+    """Deterministic inputs of the vectorized ``%.17g`` where it is easiest to get wrong."""
+    rng = np.random.default_rng(11)
+    exponents = range(-330, 309)
+    powers = [10.0**k for k in exponents] + [float(f"1e{k}") for k in exponents]
+    # 17-digit roundings that carry into the next decade
+    carries = [float(f"9.99999999999999995e{k}") for k in exponents] + [float(f"9.9999999999999999e{k}") for k in exponents]
+    mantissas = rng.integers(2**52, 2**53, size=2000)
+    return np.concatenate(
+        [
+            _neighbours(powers, 2),
+            _neighbours(carries, 1),
+            # both sides of the fixed and exponent notation switches
+            _neighbours([1e-5, 1e-4, 1e16, 1e17], 40),
+            # integers with trailing zeros, and integers around 2^53 and 10^17
+            (rng.integers(1, 10**4, size=2000) * 10.0 ** rng.integers(0, 23, size=2000)),
+            rng.integers(2**53 - 10**4, 2**53 + 10**4, size=2000).astype(float),
+            rng.integers(10**17 - 10**4, 10**17 + 10**4, size=2000).astype(float),
+            # halfway candidates: 18-digit values that end in 5, and binary halves
+            (mantissas + 0.5) / 2.0 ** rng.integers(0, 8, size=mantissas.size),
+            mantissas / 4.0,
+            rng.integers(0, 2**64, size=10**5, dtype=np.uint64).view(np.float64),
+        ]
+    )
+
+
+def test_vectorized_format_matches_percent_on_sweep():
+    values = _formatter_sweep()
+    values = np.concatenate([values, -values])
+    block = np.resize(values, (-(-values.size // 97), 97))
+    assert qio._csv_bytes(block).tobytes() == matrix_csv_oracle(block)
+
+
+def test_vectorized_format_falls_back_on_few_entries(monkeypatch):
+    calls = []
+
+    class CountingFormat(str):
+        def __mod__(self, value):
+            calls.append(value)
+            return str.__mod__(self, value)
+
+    # entries like the P, S and JSD kernels' at m = 600: symmetric, from 1 down through many decades, a unit diagonal
+    rng = np.random.default_rng(3)
+    matrix = 10.0 ** -rng.exponential(2.0, size=(600, 600)) * rng.random((600, 600))
+    matrix = (matrix + matrix.T) / 2.0
+    np.fill_diagonal(matrix, 1.0)
+    monkeypatch.setattr(qio, "_FMT", CountingFormat(qio._FMT))
+    for lo in range(0, 600, 3):
+        qio._csv_bytes(matrix[lo : lo + 3])
+    assert len(calls) < 0.01 * matrix.size
+    # around each power of ten, where log10 puts the exponent one too high for the floats just below it
+    calls.clear()
+    exponents = range(-279, 280)
+    near = _neighbours([10.0**k for k in exponents] + [float(f"1e{k}") for k in exponents], 2)
+    qio._csv_bytes(near.reshape(1, -1))
+    assert len(calls) < 0.05 * near.size
+
+
+def test_powers_of_ten_table_is_exact():
+    heads, tails = [], []
+    for k in range(qio._POW_MIN, 1 - qio._POW_MIN):
+        power = Fraction(10) ** k
+        heads.append(float(power))
+        tails.append(float(power - Fraction(heads[-1])))
+    assert qio._POW_HI.tobytes() == np.array(heads).tobytes()
+    assert qio._POW_LO.tobytes() == np.array(tails).tobytes()
 
 
 def test_round_trip_is_bitwise(tmp_path):

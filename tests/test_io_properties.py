@@ -1,4 +1,4 @@
-"""Property tests of the block-table matrix writer and its mirror route against the per-entry format."""
+"""Property tests of the matrix writer and its formatter against the per-entry format."""
 
 from unittest import mock
 
@@ -66,9 +66,8 @@ def test_mirror_route_matches_per_entry_oracle_property(tmp_path, data):
     upper = np.triu_indices(m)
     matrix = np.empty((m, m))
     matrix[upper] = matrix.T[upper] = data.draw(arrays(np.float64, upper[0].size, elements=values))
-    symmetric = True
     if m > 1 and data.draw(st.booleans()):
-        # one entry differs from its mirror in its bits only (or in its NaN payload): the general route
+        # one entry differs from its mirror in its bits only (or in its NaN payload)
         i, j = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)))
         matrix[i, j], matrix[j, i] = data.draw(
             st.sampled_from(
@@ -80,12 +79,15 @@ def test_mirror_route_matches_per_entry_oracle_property(tmp_path, data):
                 ]
             )
         )
-        symmetric = matrix[i, j].tobytes() == matrix[j, i].tobytes()
     bound = data.draw(st.sampled_from([1, 2, 5, qio._WRITE_BLOCK]))
     path = tmp_path / "m.csv"
-    with mock.patch.object(qio, "_WRITE_BLOCK", bound), mock.patch.object(
-        qio, "_write_mirrored", wraps=qio._write_mirrored
-    ) as mirrored:
+    with mock.patch.object(qio, "_WRITE_BLOCK", bound):
         save_matrix_csv(path, matrix)
-    assert mirrored.called == symmetric
     assert path.read_bytes() == matrix_csv_oracle(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 40)), elements=st.sampled_from(FLOAT_SPECIALS) | st.floats()))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_vectorized_format_matches_percent_property(block):
+    assert qio._csv_bytes(block).tobytes() == matrix_csv_oracle(block)

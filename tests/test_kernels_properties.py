@@ -85,7 +85,7 @@ def test_jsd_tile_budget_changes_nothing_but_rounding(eig):
 @settings(max_examples=60, deadline=None)
 @given(systems, st.sampled_from(BUDGETS))
 def test_kernels_are_bitwise_symmetric(eig, budget):
-    # save_matrix_csv formats only the upper triangle of a matrix that equals its transpose bit for bit
+    # each kernel entry and its mirror come from one computation, so they agree bit for bit
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_TILE_ENTRIES", budget)
         matrices = [transition_kernel(eig), laplace_similarity(eig, 0.5), jsd_matrix(eig)]
